@@ -657,7 +657,7 @@ func workerCmd(args []string) {
 	server := fs.String("server", "http://127.0.0.1:8823", "coordinator base URL (`scalefold serve -fabric`)")
 	name := fs.String("name", "", `worker label in fleet listings ("" = hostname-pid)`)
 	storeDir := fs.String("store", "", `shared result-store directory ("" = this worker memoizes alone)`)
-	poll := fs.Duration("poll", 200*time.Millisecond, "idle claim interval and transport-retry backoff")
+	poll := fs.Duration("poll", 200*time.Millisecond, "idle claim interval (the coordinator holds an idle claim this long) and transport-retry backoff")
 	logLevel := fs.String("log-level", "", `structured-log level on stderr: debug, info, warn or error
 ("" = structured logging off)`)
 	fs.Parse(args)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"time"
 
@@ -121,6 +120,12 @@ type Coordinator struct {
 	tasks   map[string]*task // by fingerprint; live (unsettled) tasks only
 	queue   []*task          // pending tasks, FIFO with retry priority
 	closed  bool
+	// wake is closed (and replaced) whenever a task enters the queue and on
+	// Close, releasing every claim parked on it to re-check the queue.
+	wake chan struct{}
+	// parked counts claims currently held waiting on wake (tests wait on
+	// it to know a claim is parked).
+	parked int
 
 	completed  int64
 	reassigned int64
@@ -143,6 +148,7 @@ func NewCoordinator(cfg Config, st store.Store[cluster.Result]) *Coordinator {
 		st:         st,
 		workers:    map[string]*workerState{},
 		tasks:      map[string]*task{},
+		wake:       make(chan struct{}),
 		stopExpiry: make(chan struct{}),
 	}
 	c.met = newFleetMetrics(c.cfg.Registry)
@@ -165,8 +171,9 @@ func NewCoordinator(cfg Config, st store.Store[cluster.Result]) *Coordinator {
 }
 
 // Close fails every outstanding task and dispatch with ErrClosed, forgets
-// the fleet and stops the expiry loop. Safe to call once; later Execute,
-// Claim and Complete calls are refused.
+// the fleet, unparks every held claim (which then returns ErrClosed) and
+// stops the expiry loop. Safe to call once; later Execute, Claim and
+// Complete calls are refused.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -174,6 +181,7 @@ func (c *Coordinator) Close() {
 		return
 	}
 	c.closed = true
+	c.wakeLocked()
 	close(c.stopExpiry)
 	for key, t := range c.tasks {
 		t.done, t.err = true, ErrClosed
@@ -234,19 +242,54 @@ func (c *Coordinator) Heartbeat(workerID string) error {
 // BatchSize; max <= 0 means BatchSize). Cells whose rendezvous-hashed home
 // is the claimant are preferred — steady fleets get stable fingerprint
 // partitioning — and the queue head fills the rest, so idle workers steal
-// rather than starve. A claim counts as a heartbeat.
-func (c *Coordinator) Claim(workerID string, max int) ([]Cell, error) {
+// rather than starve. With wait <= 0 it answers at once. Otherwise, with
+// nothing pending, the claim parks (a long poll) until a cell is queued or
+// requeued, the wait runs out (empty result), ctx is done (ctx.Err()) or the
+// coordinator closes (ErrClosed). Every pass re-runs loss detection and
+// counts as a heartbeat; a worker expired while parked gets
+// ErrUnknownWorker, never cells.
+func (c *Coordinator) Claim(ctx context.Context, workerID string, max int, wait time.Duration) ([]Cell, error) {
+	var timer *time.Timer
+	timedOut := false
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
+	for {
+		if c.closed {
+			return nil, ErrClosed
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err // the claimant is gone: hand it nothing
+		}
+		c.expireLocked(c.cfg.Now())
+		w, ok := c.workers[workerID]
+		if !ok {
+			return nil, ErrUnknownWorker
+		}
+		w.lastBeat = c.cfg.Now()
+		if cells := c.pickLocked(w, max); len(cells) > 0 || wait <= 0 || timedOut {
+			return cells, nil
+		}
+		if timer == nil {
+			timer = time.NewTimer(wait)
+			defer timer.Stop()
+		}
+		wake := c.wake
+		c.parked++
+		c.mu.Unlock()
+		select {
+		case <-wake:
+		case <-timer.C:
+			timedOut = true // one last pass, then answer empty
+		case <-ctx.Done():
+		}
+		c.mu.Lock()
+		c.parked--
 	}
-	c.expireLocked(c.cfg.Now())
-	w, ok := c.workers[workerID]
-	if !ok {
-		return nil, ErrUnknownWorker
-	}
-	w.lastBeat = c.cfg.Now()
+}
+
+// pickLocked assigns up to max queued cells to w and returns them, nil when
+// the queue is empty.
+func (c *Coordinator) pickLocked(w *workerState, max int) []Cell {
 	if max <= 0 || max > c.cfg.BatchSize {
 		max = c.cfg.BatchSize
 	}
@@ -257,7 +300,7 @@ func (c *Coordinator) Claim(workerID string, max int) ([]Cell, error) {
 			if len(picked) >= max {
 				break
 			}
-			if c.homeLocked(t.key) == workerID {
+			if c.homeLocked(t.key) == w.id {
 				picked = append(picked, t)
 			}
 		}
@@ -279,7 +322,7 @@ func (c *Coordinator) Claim(workerID string, max int) ([]Cell, error) {
 		}
 	}
 	if len(picked) == 0 {
-		return nil, nil
+		return nil
 	}
 	rest := c.queue[:0]
 	for _, t := range c.queue {
@@ -298,7 +341,7 @@ func (c *Coordinator) Claim(workerID string, max int) ([]Cell, error) {
 	now := c.cfg.Now()
 	cells := make([]Cell, len(picked))
 	for i, t := range picked {
-		t.assigned = workerID
+		t.assigned = w.id
 		t.claimedAt = now
 		if !t.enqueued.IsZero() {
 			c.met.queueWait.Observe(now.Sub(t.enqueued).Seconds())
@@ -308,20 +351,35 @@ func (c *Coordinator) Claim(workerID string, max int) ([]Cell, error) {
 	}
 	c.met.pending.Set(int64(len(c.queue)))
 	w.inflightGge.Set(int64(len(w.inflight)))
-	return cells, nil
+	return cells
+}
+
+// FNV-1a 64-bit parameters, as in hash/fnv.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a continues the FNV-1a 64-bit state h over s: the values hash/fnv's
+// New64a yields, without allocating a hasher.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // homeLocked returns the live worker that rendezvous-hashes highest for the
-// key — the cell's stable home while the fleet is steady.
+// key — FNV-1a over key, a 0 byte, worker ID — the cell's stable home while
+// the fleet is steady. It allocates nothing: claims run it per queued cell
+// under the coordinator lock.
 func (c *Coordinator) homeLocked(key string) string {
+	prefix := fnv1a(fnv1a(fnvOffset64, key), "\x00")
 	var best string
 	var bestScore uint64
 	for id := range c.workers {
-		h := fnv.New64a()
-		h.Write([]byte(key))
-		h.Write([]byte{0})
-		h.Write([]byte(id))
-		if s := h.Sum64(); best == "" || s > bestScore || (s == bestScore && id < best) {
+		if s := fnv1a(prefix, id); best == "" || s > bestScore || (s == bestScore && id < best) {
 			best, bestScore = id, s
 		}
 	}
@@ -426,6 +484,13 @@ func (c *Coordinator) requeueLocked(t *task, cause error) {
 	c.met.reassigned.Inc()
 	c.queue = append([]*task{t}, c.queue...)
 	c.met.pending.Set(int64(len(c.queue)))
+	c.wakeLocked()
+}
+
+// wakeLocked releases every parked claim to re-check the queue.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // ExpireNow runs loss detection immediately: workers silent past the
@@ -493,6 +558,7 @@ func (c *Coordinator) ExecuteReport(ctx context.Context, cfg scalefold.StepConfi
 		c.tasks[key] = t
 		c.queue = append(c.queue, t)
 		c.met.pending.Set(int64(len(c.queue)))
+		c.wakeLocked()
 	}
 	t.waiters++
 	c.mu.Unlock()

@@ -2,6 +2,10 @@ package fabric
 
 import (
 	"context"
+	"errors"
+	"hash/fnv"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -87,7 +91,7 @@ func TestCoordinatorSingleflightAndStoreFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := c.Claim(reg.WorkerID, 0)
+	cells, err := c.Claim(context.Background(), reg.WorkerID, 0, 0)
 	if err != nil || len(cells) != 1 {
 		t.Fatalf("Claim = %v, %v; want the one deduplicated cell", cells, err)
 	}
@@ -130,7 +134,7 @@ func TestCoordinatorRetryBudgetExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for attempt := 0; attempt < 2; attempt++ {
-		cells, err := c.Claim(reg.WorkerID, 0)
+		cells, err := c.Claim(context.Background(), reg.WorkerID, 0, 0)
 		if err != nil || len(cells) != 1 {
 			t.Fatalf("attempt %d: Claim = %v, %v", attempt, cells, err)
 		}
@@ -160,7 +164,7 @@ func TestCoordinatorExpiryReassignsAndRejectsLateCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := c.Claim(w1.WorkerID, 0)
+	cells, err := c.Claim(context.Background(), w1.WorkerID, 0, 0)
 	if err != nil || len(cells) != 1 {
 		t.Fatalf("Claim = %v, %v", cells, err)
 	}
@@ -180,7 +184,7 @@ func TestCoordinatorExpiryReassignsAndRejectsLateCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cells, err = c.Claim(w2.WorkerID, 0); err != nil || len(cells) != 1 || cells[0].Key != key {
+	if cells, err = c.Claim(context.Background(), w2.WorkerID, 0, 0); err != nil || len(cells) != 1 || cells[0].Key != key {
 		t.Fatalf("reassigned claim = %v, %v", cells, err)
 	}
 
@@ -266,8 +270,225 @@ func TestRendezvousPartitioningIsStable(t *testing.T) {
 		t.Fatalf("5 keys all homed on one of 3 workers: %v (suspicious hash)", first)
 	}
 	for _, id := range ids {
-		if _, err := c.Claim(id, 0); err != nil {
+		if _, err := c.Claim(context.Background(), id, 0, 0); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+type claimOut struct {
+	cells []Cell
+	err   error
+}
+
+// claimAsync runs a long-poll claim on a goroutine.
+func claimAsync(c *Coordinator, ctx context.Context, workerID string, wait time.Duration) <-chan claimOut {
+	ch := make(chan claimOut, 1)
+	go func() {
+		cells, err := c.Claim(ctx, workerID, 0, wait)
+		ch <- claimOut{cells, err}
+	}()
+	return ch
+}
+
+// waitParked blocks until exactly n claims are parked on the coordinator.
+func waitParked(t *testing.T, c *Coordinator, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		c.mu.Lock()
+		p := c.parked
+		c.mu.Unlock()
+		if p == n {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("parked claims never reached %d", n)
+}
+
+// mountHTTP serves the coordinator's fabric endpoints on a loopback listener.
+func mountHTTP(t *testing.T, c *Coordinator) string {
+	t.Helper()
+	mux := http.NewServeMux()
+	c.Mount(mux)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+func register(t *testing.T, c *Coordinator, name string) string {
+	t.Helper()
+	reg, err := c.RegisterWorker(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg.WorkerID
+}
+
+func TestLongPollClaimReturnsOnEnqueue(t *testing.T) {
+	c, _ := testCoordinator(t, Config{}, nil)
+	id := register(t, c, "idle")
+	claimc := claimAsync(c, context.Background(), id, 5*time.Second)
+	waitParked(t, c, 1)
+
+	t0 := time.Now()
+	cfg := scalefold.ReferenceConfig("H100", 32)
+	execute(c, context.Background(), cfg)
+	out := <-claimc
+	if d := time.Since(t0); d > 100*time.Millisecond {
+		t.Fatalf("parked claim answered %v after the enqueue, want < 100ms", d)
+	}
+	if out.err != nil || len(out.cells) != 1 || out.cells[0].Key != cfg.Fingerprint() {
+		t.Fatalf("parked claim = %+v, %v; want the enqueued cell", out.cells, out.err)
+	}
+}
+
+func TestLongPollClaimWakesOnLossRequeue(t *testing.T) {
+	cfg := Config{HeartbeatInterval: time.Second, HeartbeatTimeout: 3 * time.Second}
+	c, ck := testCoordinator(t, cfg, nil)
+	step := scalefold.ReferenceConfig("H100", 32)
+	execute(c, context.Background(), step)
+	waitPending(t, c, 1)
+	doomed := register(t, c, "doomed")
+	if cells, err := c.Claim(context.Background(), doomed, 0, 0); err != nil || len(cells) != 1 {
+		t.Fatalf("Claim = %v, %v", cells, err)
+	}
+	survivor := register(t, c, "survivor")
+	claimc := claimAsync(c, context.Background(), survivor, 5*time.Second)
+	waitParked(t, c, 1)
+
+	// Only the doomed worker falls silent past the timeout.
+	ck.advance(2 * time.Second)
+	if err := c.Heartbeat(survivor); err != nil {
+		t.Fatal(err)
+	}
+	ck.advance(2 * time.Second)
+	c.ExpireNow()
+	select {
+	case out := <-claimc:
+		if out.err != nil || len(out.cells) != 1 || out.cells[0].Key != step.Fingerprint() {
+			t.Fatalf("parked claim = %+v, %v; want the requeued cell", out.cells, out.err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("loss requeue did not wake the parked claim")
+	}
+	if fs := c.Fleet(); fs.Lost != 1 || fs.Reassigned != 1 || fs.Pending != 0 {
+		t.Fatalf("fleet after requeue: %+v", fs)
+	}
+}
+
+func TestLongPollClaimTimesOutEmpty(t *testing.T) {
+	c, _ := testCoordinator(t, Config{}, nil)
+	id := register(t, c, "idle")
+	const wait = 50 * time.Millisecond
+	t0 := time.Now()
+	cells, err := c.Claim(context.Background(), id, 0, wait)
+	d := time.Since(t0)
+	if err != nil || len(cells) != 0 {
+		t.Fatalf("claim on an empty queue = %+v, %v; want empty", cells, err)
+	}
+	if d < wait || d > wait+time.Second {
+		t.Fatalf("empty claim held %v, want about %v", d, wait)
+	}
+}
+
+func TestLongPollCloseUnparksWithErrClosed(t *testing.T) {
+	ck := &clock{t: time.Unix(1000, 0)}
+	c := NewCoordinator(Config{Now: ck.now}, nil)
+	base := mountHTTP(t, c)
+	const n = 3
+	errc := make(chan error, n)
+	for i := 0; i < n; i++ {
+		id := register(t, c, "idle")
+		go func() {
+			var resp ClaimResponse
+			errc <- rpc(context.Background(), http.DefaultClient, base, "/v1/workers/claim",
+				ClaimRequest{WorkerID: id, WaitMillis: 5000}, &resp)
+		}()
+	}
+	waitParked(t, c, n)
+	c.Close()
+	for i := 0; i < n; i++ {
+		select {
+		case err := <-errc:
+			if !errors.Is(err, ErrClosed) || !strings.Contains(err.Error(), "503") {
+				t.Fatalf("parked claim after Close = %v, want ErrClosed (HTTP 503)", err)
+			}
+		case <-time.After(time.Second):
+			t.Fatal("Close left a claim parked")
+		}
+	}
+}
+
+func TestLongPollExpiredWhileParkedGetsUnknownWorker(t *testing.T) {
+	cfg := Config{HeartbeatInterval: time.Second, HeartbeatTimeout: 3 * time.Second}
+	c, ck := testCoordinator(t, cfg, nil)
+	id := register(t, c, "silent")
+	claimc := claimAsync(c, context.Background(), id, 5*time.Second)
+	waitParked(t, c, 1)
+
+	ck.advance(cfg.HeartbeatTimeout + time.Second)
+	execute(c, context.Background(), scalefold.ReferenceConfig("H100", 32)) // wakes the claim
+	select {
+	case out := <-claimc:
+		if out.err != ErrUnknownWorker || len(out.cells) != 0 {
+			t.Fatalf("expired worker's parked claim = %+v, %v; want ErrUnknownWorker", out.cells, out.err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("enqueue did not wake the parked claim")
+	}
+	if fs := c.Fleet(); fs.Pending != 1 || fs.Lost != 1 {
+		t.Fatalf("the cell must stay queued for a live worker: %+v", fs)
+	}
+}
+
+func TestLongPollCancelledRequestFreesHandler(t *testing.T) {
+	c, _ := testCoordinator(t, Config{}, nil)
+	base := mountHTTP(t, c)
+	id := register(t, c, "leaving")
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		var resp ClaimResponse
+		errc <- rpc(ctx, http.DefaultClient, base, "/v1/workers/claim",
+			ClaimRequest{WorkerID: id, WaitMillis: 10000}, &resp)
+	}()
+	waitParked(t, c, 1)
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled claim = %v, want context.Canceled", err)
+	}
+	waitParked(t, c, 0) // the handler returned long before its 10s wait
+
+	// The abandoned claim took nothing: the next cell goes to a live claim.
+	execute(c, context.Background(), scalefold.ReferenceConfig("H100", 32))
+	waitPending(t, c, 1)
+	if cells, err := c.Claim(context.Background(), id, 0, 0); err != nil || len(cells) != 1 {
+		t.Fatalf("Claim after the abandoned claim = %v, %v", cells, err)
+	}
+}
+
+func TestHomeLockedAllocFreeAndFNV1a(t *testing.T) {
+	c, _ := testCoordinator(t, Config{}, nil)
+	for _, name := range []string{"a", "b", "c"} {
+		register(t, c, name)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if allocs := testing.AllocsPerRun(100, func() { c.homeLocked("v4:alpha") }); allocs != 0 {
+		t.Fatalf("homeLocked allocates %.1f times per call, want 0", allocs)
+	}
+	// The inline hash is hash/fnv's FNV-1a: rendezvous homes are unchanged.
+	for _, key := range []string{"", "v4:alpha", "v3:0123456789abcdef"} {
+		for id := range c.workers {
+			h := fnv.New64a()
+			h.Write([]byte(key))
+			h.Write([]byte{0})
+			h.Write([]byte(id))
+			if got := fnv1a(fnv1a(fnv1a(fnvOffset64, key), "\x00"), id); got != h.Sum64() {
+				t.Fatalf("fnv1a(%q, %q) = %x, hash/fnv %x", key, id, got, h.Sum64())
+			}
 		}
 	}
 }

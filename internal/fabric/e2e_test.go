@@ -2,6 +2,9 @@ package fabric_test
 
 import (
 	"bytes"
+	"io"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -329,5 +332,49 @@ func TestFabricStalledWorkerExpiresAndLateCompletesRejected(t *testing.T) {
 	}
 	if fs.Rejected < 3 { // two direct probes + at least one from the zombie
 		t.Fatalf("rejected completes = %d, want >= 3: %+v", fs.Rejected, fs)
+	}
+}
+
+// TestLongPollFleetQueueWaitAndPromptClose runs a 4-cell job, one cell at a
+// time, through two workers whose Poll (2s) dwarfs the cell work: an idle
+// worker's claim is parked at the coordinator, so every cell is claimed as
+// soon as it is queued instead of at the next poll. Closing the fleet must
+// not wait out the parked claims either.
+func TestLongPollFleetQueueWaitAndPromptClose(t *testing.T) {
+	fl := fakeworker.Start(t, fakeworker.Options{Workers: 2, Poll: 2 * time.Second})
+	js := grid24()
+	js.DAPs = []int{1, 2}
+	js.Ablations = []string{"none", "zero-launch"}
+	js.Workers = 1 // serial dispatch: a parked worker is always waiting
+	st, err := fl.Client.Submit(js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, done := collect(t, fl.Client, st.ID); done.State != service.StateDone || done.Remote != 4 {
+		t.Fatalf("done event %+v; want 4 remote cells", done)
+	}
+
+	resp, err := http.Get(fl.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`scalefold_fabric_queue_wait_seconds_bucket{le="0.1"} 4`,
+		`scalefold_fabric_queue_wait_seconds_bucket{le="+Inf"} 4`,
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Fatalf("every cell must be claimed within 100ms of queueing: metrics missing %q in:\n%s", want, body)
+		}
+	}
+
+	t0 := time.Now()
+	fl.Close()
+	if d := time.Since(t0); d > 500*time.Millisecond {
+		t.Fatalf("Fleet.Close took %v with parked claims, want < 500ms", d)
 	}
 }

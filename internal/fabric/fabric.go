@@ -9,7 +9,10 @@
 // The dataflow is pull-based: workers register (POST /v1/workers/register),
 // then loop claiming batches (POST /v1/workers/claim), executing them, and
 // reporting results (POST /v1/workers/complete), heartbeating in between
-// (POST /v1/workers/heartbeat). The coordinator prefers handing a cell to
+// (POST /v1/workers/heartbeat). A claim is a long poll: an idle worker's
+// claim is held at the coordinator (up to its wait_ms) and answered the
+// moment a cell is queued, so a new cell waits on the coordinator's wake-up,
+// not on the worker's next poll. The coordinator prefers handing a cell to
 // its rendezvous-hashed home worker — stable fingerprint-based partitioning
 // while the fleet is steady — but any idle worker can steal from the head of
 // the queue, so a slow worker never wedges a job.
@@ -120,10 +123,15 @@ type ClaimRequest struct {
 	// Max bounds the batch; the coordinator additionally caps it at its
 	// configured BatchSize. <= 0 means BatchSize.
 	Max int `json:"max,omitempty"`
+	// WaitMillis makes the claim a long poll: with nothing pending, the
+	// coordinator holds the request up to this long and answers as soon as
+	// a cell is queued (or requeued). <= 0 — and older workers, which omit
+	// it — get an immediate answer.
+	WaitMillis int64 `json:"wait_ms,omitempty"`
 }
 
-// ClaimResponse carries the claimed batch; empty Cells means "nothing
-// pending, poll again".
+// ClaimResponse carries the claimed batch. Empty Cells means nothing was
+// pending for the whole of the request's wait: poll again.
 type ClaimResponse struct {
 	Cells []Cell `json:"cells"`
 }

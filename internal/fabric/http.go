@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,10 +18,14 @@ import (
 // next to its /v1/jobs API when running in coordinator mode:
 //
 //	POST /v1/workers/register   admit a worker; returns ID + protocol params
-//	POST /v1/workers/claim      claim a cell batch (empty = poll again)
+//	POST /v1/workers/claim      claim a cell batch, held up to wait_ms until
+//	                            a cell is pending (empty = poll again)
 //	POST /v1/workers/heartbeat  record liveness; ok=false → re-register
 //	POST /v1/workers/complete   report one cell's outcome
 //	GET  /v1/workers            fleet + queue status
+//
+// A held claim ends early when its client disconnects, and with 503 when
+// the coordinator closes. Its rpc latency series includes the hold time.
 func (c *Coordinator) Mount(mux *http.ServeMux) {
 	// timed wraps a handler with a per-RPC latency histogram. With no
 	// Registry configured hist is nil and the handler is returned untouched —
@@ -56,7 +61,8 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 		if !decodeBody(w, r, &req) {
 			return
 		}
-		cells, err := c.Claim(req.WorkerID, req.Max)
+		wait := time.Duration(req.WaitMillis) * time.Millisecond
+		cells, err := c.Claim(r.Context(), req.WorkerID, req.Max, wait)
 		if err != nil {
 			writeFabricErr(w, err)
 			return
@@ -120,13 +126,19 @@ func writeFabricJSON(w http.ResponseWriter, code int, v any) {
 
 // rpc is the worker-side call helper: POST JSON, decode JSON, lift the error
 // envelope. A 410 maps back to ErrUnknownWorker so the worker loop can
-// re-register instead of treating it as a transport failure.
-func rpc[T any](hc *http.Client, base, path string, req any, out *T) error {
+// re-register instead of treating it as a transport failure, and a 503
+// wraps ErrClosed. Cancelling ctx abandons the call.
+func rpc[T any](ctx context.Context, hc *http.Client, base, path string, req any, out *T) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return fmt.Errorf("fabric: %w", err)
 	}
-	resp, err := hc.Post(strings.TrimRight(base, "/")+path, "application/json", bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, strings.TrimRight(base, "/")+path, bytes.NewReader(body))
+	if err != nil {
+		return fmt.Errorf("fabric: %w", err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	resp, err := hc.Do(hreq)
 	if err != nil {
 		return fmt.Errorf("fabric: %w", err)
 	}
@@ -135,8 +147,11 @@ func rpc[T any](hc *http.Client, base, path string, req any, out *T) error {
 	if err != nil {
 		return fmt.Errorf("fabric: reading response: %w", err)
 	}
-	if resp.StatusCode == http.StatusGone {
+	switch resp.StatusCode {
+	case http.StatusGone:
 		return ErrUnknownWorker
+	case http.StatusServiceUnavailable:
+		return fmt.Errorf("%w (HTTP 503)", ErrClosed)
 	}
 	if resp.StatusCode/100 != 2 {
 		var envelope struct {

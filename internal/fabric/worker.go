@@ -34,7 +34,11 @@ type Worker struct {
 	// HTTP overrides the transport (nil = http.DefaultClient).
 	HTTP *http.Client
 	// Poll is the idle claim interval, and the retry backoff for transport
-	// failures. <= 0 means 200ms.
+	// failures. Each claim asks the coordinator to hold it up to Poll
+	// (wait_ms) while nothing is pending, so an idle worker sends one claim
+	// per Poll yet picks a new cell up the moment it is queued; after an
+	// empty claim the worker sleeps only the part of Poll the coordinator
+	// did not already wait. <= 0 means 200ms.
 	Poll time.Duration
 	// OnStoreErr, when non-nil, receives shared-store write failures (the
 	// worker still completes the cell from memory).
@@ -107,6 +111,9 @@ func (w *Worker) logger() *slog.Logger {
 // sleep waits d or until ctx is done, reporting whether the worker should
 // keep running.
 func sleep(ctx context.Context, d time.Duration) bool {
+	if d <= 0 {
+		return ctx.Err() == nil
+	}
 	select {
 	case <-ctx.Done():
 		return false
@@ -115,19 +122,24 @@ func sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// register obtains a (new) worker identity, retrying transport failures
-// until ctx is cancelled.
+// register obtains a (new) worker identity. Every failure — transport down,
+// or a closed coordinator (503) that may yet restart — backs off by Poll and
+// retries, so it returns an error only once ctx is cancelled.
 func (w *Worker) register(ctx context.Context) (RegisterResponse, error) {
-	for {
+	for attempt := 1; ; attempt++ {
 		var resp RegisterResponse
-		err := rpc(w.http(), w.Base, "/v1/workers/register", RegisterRequest{Name: w.Name}, &resp)
+		err := rpc(ctx, w.http(), w.Base, "/v1/workers/register", RegisterRequest{Name: w.Name}, &resp)
 		if err == nil {
 			w.mu.Lock()
 			w.id = resp.WorkerID
 			w.mu.Unlock()
 			return resp, nil
 		}
-		if errors.Is(err, ErrClosed) || !sleep(ctx, w.poll()) {
+		if ctx.Err() == nil {
+			w.logger().Warn("fabric register failed, backing off",
+				"name", w.Name, "attempt", attempt, "backoff", w.poll(), "err", err)
+		}
+		if !sleep(ctx, w.poll()) {
 			return RegisterResponse{}, ctx.Err()
 		}
 	}
@@ -152,8 +164,12 @@ func (w *Worker) Run(ctx context.Context) error {
 			return nil
 		}
 		var resp ClaimResponse
-		err := rpc(w.http(), w.Base, "/v1/workers/claim", ClaimRequest{WorkerID: w.ID(), Max: reg.BatchSize}, &resp)
+		req := ClaimRequest{WorkerID: w.ID(), Max: reg.BatchSize, WaitMillis: w.poll().Milliseconds()}
+		t0 := time.Now()
+		err := rpc(ctx, w.http(), w.Base, "/v1/workers/claim", req, &resp)
 		switch {
+		case ctx.Err() != nil:
+			return nil
 		case errors.Is(err, ErrUnknownWorker):
 			w.logger().Info("fabric worker re-registering: coordinator forgot us",
 				"worker", w.ID(), "name", w.Name)
@@ -172,7 +188,10 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		claimFails = 0
 		if len(resp.Cells) == 0 {
-			if !sleep(ctx, w.poll()) {
+			// The coordinator held the claim for most of Poll already; sleep
+			// the rest, so an older coordinator that answers at once still
+			// sees one claim per Poll.
+			if !sleep(ctx, w.poll()-time.Since(t0)) {
 				return nil
 			}
 			continue
@@ -220,8 +239,10 @@ func (w *Worker) executeCell(cell Cell) {
 			w.Metrics.Remote.Add(probe.Remote.Load())
 		}
 	}
+	// Not bound to the worker's context: a finished cell is still reported
+	// during shutdown.
 	var resp CompleteResponse
-	if err := rpc(w.http(), w.Base, "/v1/workers/complete", req, &resp); err != nil {
+	if err := rpc(context.Background(), w.http(), w.Base, "/v1/workers/complete", req, &resp); err != nil {
 		// Coordinator gone or transport down; loss detection requeues.
 		w.logger().Warn("fabric complete failed, abandoning cell to loss detection",
 			"worker", w.ID(), "cell", cell.Key, "err", err)
@@ -255,7 +276,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context, interval time.Duration) {
 				continue
 			}
 			var resp HeartbeatResponse
-			rpc(w.http(), w.Base, "/v1/workers/heartbeat", HeartbeatRequest{WorkerID: w.ID()}, &resp)
+			rpc(ctx, w.http(), w.Base, "/v1/workers/heartbeat", HeartbeatRequest{WorkerID: w.ID()}, &resp)
 		}
 	}
 }
