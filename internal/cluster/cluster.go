@@ -20,7 +20,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/perturb"
 	"repro/internal/pipeline"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -620,9 +619,4 @@ func gcCost(c gpu.CPUModel, launches int) time.Duration {
 		return 0
 	}
 	return time.Duration(launches/c.GCInterval) * c.GCPause
-}
-
-// StepSeconds is a convenience returning the mean step time in seconds.
-func StepSeconds(prog *workload.Program, ranks, dapDegree int, o Options) float64 {
-	return sim.Sec(Simulate(prog, ranks, dapDegree, o).MeanStep)
 }

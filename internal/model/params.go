@@ -13,7 +13,6 @@
 package model
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -110,13 +109,4 @@ func (p *Params) Count() int {
 		n += p.byName[name].X.Len()
 	}
 	return n
-}
-
-// Get returns a parameter by name, or panics if it does not exist.
-func (p *Params) Get(name string) *autograd.Value {
-	v, ok := p.byName[name]
-	if !ok {
-		panic(fmt.Sprintf("model: unknown parameter %q", name))
-	}
-	return v
 }

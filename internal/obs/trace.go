@@ -91,16 +91,6 @@ func (t *Tracer) Events() []TraceEvent {
 	return append([]TraceEvent(nil), t.events...)
 }
 
-// Len returns the number of recorded events (lane metadata included).
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
 // WriteChromeTrace serializes the snapshot as a Chrome trace JSON array —
 // the same shape cluster.Timeline.WriteChromeTrace emits. A nil Tracer
 // writes an empty array.

@@ -2,10 +2,9 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"os"
-	"path/filepath"
 	"sort"
-	"sync/atomic"
 )
 
 // CompactStats reports what a Compact call did, JSON-ready for the CLI and
@@ -32,23 +31,10 @@ type CompactStats struct {
 // higher sequence numbers before any old file is deleted, and replay's
 // last-write-wins ordering means a directory holding both generations
 // reopens to the same mapping.
-func (d *Disk[R]) Compact() (CompactStats, error) {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	if d.closed {
-		return CompactStats{}, fmt.Errorf("store: closed")
-	}
-	if err := d.sealLocked(); err != nil {
-		return CompactStats{}, err
-	}
-	st, seq, live, err := runCompact(d.idx, d.tab, d.live,
-		func(n int) string { return filepath.Join(d.dir, fmt.Sprintf("seg-%08d.jsonl", n)) },
-		d.segSeq, d.SegmentBytes, d.cfg.legacy, &d.met)
-	if err != nil {
-		return st, err
-	}
-	d.segSeq, d.live, d.torn = seq, live, false
-	return st, nil
+func (c *core[R]) Compact() (CompactStats, error) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.compactLocked()
 }
 
 // Compact rewrites this owner's segments down to their live records —
@@ -65,34 +51,22 @@ func (s *Shared[R]) Compact() (CompactStats, error) {
 	// block on the refresh lock for the duration; indexed Gets stay live.
 	s.rmu.Lock()
 	defer s.rmu.Unlock()
-	if s.closed {
-		return CompactStats{}, fmt.Errorf("store: closed")
-	}
-	if err := s.sealLocked(); err != nil {
-		return CompactStats{}, err
-	}
-	st, seq, live, err := runCompact(s.idx, s.tab, s.ownLive,
-		func(n int) string { return filepath.Join(s.dir, fmt.Sprintf("%s%08d.jsonl", s.prefix, n)) },
-		s.segSeq, s.SegmentBytes, s.cfg.legacy, &s.met)
-	if err != nil {
-		return st, err
-	}
-	s.segSeq, s.ownLive, s.torn = seq, live, false
-	return st, nil
+	return s.compactLocked()
 }
 
-// runCompact is the engine shared by Disk.Compact and Shared.Compact: live
-// is the set of segments this writer owns (and may rewrite + delete); index
-// entries pointing elsewhere are preserved untouched. Callers hold their
-// writer lock, so no setIfNewer races the rebuild.
-func runCompact[R any](
-	ix *index[R], tab *segTable, live map[int32]string,
-	nameAt func(seq int) string, startSeq int, limit int64,
-	legacy func(string) bool, met *atomic.Pointer[Metrics],
-) (CompactStats, int, map[int32]string, error) {
-	var st CompactStats
-	st.SegmentsBefore = len(live)
-	for _, p := range live {
+// compactLocked is the compaction body: it rewrites the segments the writer
+// owns through the writer itself, fsyncing each, and preserves index entries
+// pointing anywhere else. Callers hold wmu, so no Put races the rebuild.
+func (c *core[R]) compactLocked() (CompactStats, error) {
+	if c.closed {
+		return CompactStats{}, fmt.Errorf("store: closed")
+	}
+	if err := c.w.seal(); err != nil {
+		return CompactStats{}, err
+	}
+	old := c.w.live
+	st := CompactStats{SegmentsBefore: len(old)}
+	for _, p := range old {
 		if fi, err := os.Stat(p); err == nil {
 			st.BytesBefore += fi.Size()
 		}
@@ -105,16 +79,14 @@ func runCompact[R any](
 	}
 	var rewrite []entry
 	kept := map[string]ref{}
-	ix.each(func(k string, r ref) bool {
-		if _, mine := live[r.seg]; !mine {
+	c.idx.each(func(k string, r ref) bool {
+		if _, mine := old[r.seg]; !mine {
 			kept[k] = r
-			return true
-		}
-		if legacy != nil && legacy(k) {
+		} else if c.cfg.legacy != nil && c.cfg.legacy(k) {
 			st.DroppedLegacy++
-			return true
+		} else {
+			rewrite = append(rewrite, entry{k, r})
 		}
-		rewrite = append(rewrite, entry{k, r})
 		return true
 	})
 	sort.Slice(rewrite, func(i, j int) bool {
@@ -123,38 +95,43 @@ func runCompact[R any](
 		}
 		return rewrite[i].r.off < rewrite[j].r.off
 	})
-	w := &compactWriter{nameAt: nameAt, seq: startSeq, limit: limit, tab: tab, met: met, live: map[int32]string{}}
-	for _, e := range rewrite {
-		line, err := rawLine(tab, e.r)
-		if err != nil {
-			return st, 0, nil, err
+	c.w.live, c.w.durable = map[int32]string{}, true
+	defer func() { c.w.durable = false }()
+	err := func() error {
+		for _, e := range rewrite {
+			line, err := rawLine(c.tab, e.r)
+			if err != nil {
+				return err
+			}
+			nr, err := c.w.append(e.key, line, c.SegmentBytes)
+			if err != nil {
+				return err
+			}
+			kept[e.key] = nr
+			st.BytesAfter += int64(len(line))
 		}
-		nr, err := w.append(e.key, line)
-		if err != nil {
-			return st, 0, nil, err
-		}
-		kept[e.key] = nr
+		return c.w.seal()
+	}()
+	if err != nil {
+		// The old segments still hold every record, so the writer keeps
+		// owning them; what was rewritten so far is duplicates.
+		maps.Copy(c.w.live, old)
+		return st, err
 	}
-	if err := w.finish(); err != nil {
-		return st, 0, nil, err
-	}
-	st.Keys = len(kept)
-	st.Rewritten = len(rewrite)
-	st.SegmentsAfter = len(w.live)
-	st.BytesAfter = w.bytes
+	st.Keys, st.Rewritten, st.SegmentsAfter = len(kept), len(rewrite), len(c.w.live)
 	// Commit: the index switches to the new refs, then the old files go. A
 	// Get that resolved an old ref just before the switch either still reads
 	// the old bytes (identical record) or gets a stale-ref error and
 	// re-resolves.
-	ix.rebuild(kept)
-	for id, p := range live {
-		tab.drop(id)
+	c.idx.rebuild(kept)
+	for id, p := range old {
+		c.tab.drop(id)
 		os.Remove(p)
 		os.Remove(sidecarPath(p))
 	}
-	met.Load().compacted()
-	met.Load().records(len(kept))
-	return st, w.seq, w.live, nil
+	c.met.Load().compacted()
+	c.met.Load().records(len(kept))
+	return st, nil
 }
 
 // rawLine reads one record's exact on-disk bytes, newline restored.
@@ -170,78 +147,3 @@ func rawLine(tab *segTable, rf ref) ([]byte, error) {
 	buf[rf.llen] = '\n'
 	return buf, nil
 }
-
-// compactWriter streams records into fresh segments, sealing each (sidecar
-// + fsync) as it fills — the same on-disk product as a normal writer's
-// rotation, minus the dead bytes.
-type compactWriter struct {
-	nameAt func(seq int) string
-	seq    int
-	limit  int64
-	tab    *segTable
-	met    *atomic.Pointer[Metrics]
-
-	f       *os.File
-	id      int32
-	path    string
-	size    int64
-	bytes   int64
-	pending []sideEntry
-	live    map[int32]string
-}
-
-func (w *compactWriter) append(key string, line []byte) (ref, error) {
-	if w.f == nil || w.size >= w.limit || w.size+int64(len(line)) > maxSegmentOff {
-		if err := w.roll(); err != nil {
-			return ref{}, err
-		}
-	}
-	if _, err := w.f.Write(line); err != nil {
-		return ref{}, fmt.Errorf("store: %w", err)
-	}
-	r := ref{off: uint32(w.size), llen: uint32(len(line) - 1), seg: w.id}
-	w.pending = append(w.pending, sideEntry{Off: r.off, Len: r.llen, Key: key})
-	w.size += int64(len(line))
-	w.bytes += int64(len(line))
-	return r, nil
-}
-
-func (w *compactWriter) roll() error {
-	if err := w.seal(); err != nil {
-		return err
-	}
-	w.seq++
-	path := w.nameAt(w.seq)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	w.f, w.path, w.size, w.pending = f, path, 0, nil
-	w.id = w.tab.add(path)
-	w.live[w.id] = path
-	w.met.Load().rotated()
-	return nil
-}
-
-// seal fsyncs and closes the open segment, sidecar first. Unlike a normal
-// writer's seal, the fsync is mandatory: old segments are deleted on the
-// strength of these bytes being durable.
-func (w *compactWriter) seal() error {
-	if w.f == nil {
-		return nil
-	}
-	if writeSidecar(w.path, w.size, 0, w.pending) == nil {
-		w.met.Load().sidecarRebuild()
-	}
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	w.f, w.pending = nil, nil
-	return nil
-}
-
-func (w *compactWriter) finish() error { return w.seal() }

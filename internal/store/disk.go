@@ -1,26 +1,9 @@
 package store
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"syscall"
-)
+import "syscall"
 
 // DefaultSegmentBytes is the segment-rotation threshold of a Disk store.
 const DefaultSegmentBytes = 4 << 20
-
-// record is one log line: a key and its JSON-encoded value.
-type record struct {
-	Key string          `json:"k"`
-	Val json.RawMessage `json:"v"`
-}
 
 // Disk is a disk-persistent Store built for millions of records: an
 // append-only log of JSON-lines segment files (seg-00000001.jsonl, ...)
@@ -42,43 +25,11 @@ type record struct {
 // Values round-trip through encoding/json, so R must marshal losslessly
 // (cluster.Result does: integer counts, nanosecond time.Durations, and
 // float64 shares/ratios, which Go's JSON encoder emits with shortest
-// round-trip precision). All methods are safe for concurrent use.
+// round-trip precision). All methods are safe for concurrent use. The
+// SegmentBytes field (default DefaultSegmentBytes) is the rotation
+// threshold; set it before the first Put.
 type Disk[R any] struct {
-	// SegmentBytes is the rotation threshold (default DefaultSegmentBytes).
-	// Set it before the first Put; it is read under the store lock.
-	SegmentBytes int64
-
-	dir  string
-	lock *os.File // flock-held .lock file: one process owns the directory
-	cfg  config
-	met  atomic.Pointer[Metrics]
-
-	idx *index[R]
-	tab *segTable
-
-	// Writer state: the active segment and the entry log that becomes its
-	// sidecar at seal time. Reads never take wmu — they go through the
-	// sharded index and per-segment read handles.
-	wmu     sync.Mutex
-	seg     *os.File // active segment; nil until the first Put
-	segID   int32    // its id in the segment table
-	segPath string
-	segSize int64
-	segSeq  int  // sequence number of the last segment (existing or active)
-	torn    bool // last write failed: rotate before appending again
-	closed  bool
-	pending []sideEntry      // active segment's records, for its sidecar
-	live    map[int32]string // id → path of this store's current segments
-
-	dropped  atomic.Int64
-	replayed atomic.Int64
-}
-
-// SetMetrics attaches (or, with nil, detaches) observability series. Safe to
-// call at any time, including while the store is in use.
-func (d *Disk[R]) SetMetrics(m *Metrics) {
-	d.met.Store(m)
-	m.records(d.Len())
+	core[R]
 }
 
 // OpenDisk opens (creating if needed) a disk store rooted at dir and builds
@@ -90,364 +41,17 @@ func (d *Disk[R]) SetMetrics(m *Metrics) {
 // The directory is single-writer: OpenDisk takes an exclusive flock on
 // dir/.lock (released by Close, or automatically when the process dies), so
 // a second process pointing at the same directory fails fast instead of
-// interleaving segment writes and serving a stale index. To share a live
-// store across processes, submit jobs to the server that holds it, or use
-// OpenShared's per-owner leases.
+// interleaving segment writes and serving a stale index. Every live Shared
+// owner holds that lock shared, so OpenDisk also fails while a fleet is
+// writing the directory — a Disk owns, and Compact rewrites, every segment
+// in it, owner-named ones included. To share a live store across processes,
+// submit jobs to the server that holds it, or use OpenShared's per-owner
+// leases.
 func OpenDisk[R any](dir string, opts ...Option) (*Disk[R], error) {
-	cfg := buildConfig(opts)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	lock, err := os.OpenFile(filepath.Join(dir, ".lock"), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
-		lock.Close()
-		return nil, fmt.Errorf("store: %s is held by another process (the store is single-writer): %w", dir, err)
-	}
-	d := &Disk[R]{
-		SegmentBytes: DefaultSegmentBytes,
-		dir:          dir,
-		lock:         lock,
-		cfg:          cfg,
-		tab:          &segTable{},
-		live:         map[int32]string{},
-	}
-	d.met.Store(cfg.metrics)
-	d.idx = newIndex[R](cfg.shards, cfg.cacheEntries, cfg.legacy, &d.met)
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.jsonl"))
-	if err != nil {
-		lock.Close()
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	sort.Strings(segs) // zero-padded names sort in write order
-	// Register ids in name order so the index's (segment, offset) versioning
-	// matches write order, then replay concurrently — last-write-wins is
-	// resolved per key by that versioning, not by replay scheduling.
-	ids := make([]int32, len(segs))
-	for i, path := range segs {
-		ids[i] = d.tab.add(path)
-		d.live[ids[i]] = path
-	}
-	if err := replayAll(d.idx, d.tab, segs, ids, replayOpts{
-		selfHeal: true, tornIsDropped: true,
-		dropped: &d.dropped, replayed: &d.replayed, met: &d.met,
-	}); err != nil {
-		lock.Close()
+	d := &Disk[R]{}
+	if _, err := d.open(dir, "seg-", true, opts, dirLock{".lock", syscall.LOCK_EX,
+		dir + " is held by another process or a live Shared owner (a Disk store is single-writer)"}); err != nil {
 		return nil, err
 	}
-	// Resume numbering after the newest existing plain segment. New writes
-	// always start a fresh segment: the old tail may end in a torn line.
-	// Owner-named segments (a Shared fleet's leases, replayed above like any
-	// other) live in their own namespaces and don't advance ours.
-	for _, path := range segs {
-		if n, ok := segSeqOf(filepath.Base(path), "seg-"); ok && n > d.segSeq {
-			d.segSeq = n
-		}
-	}
 	return d, nil
-}
-
-// replayOpts parameterizes segment replay between Disk (heal sidecars,
-// count torn tails as dropped) and Shared (own segments heal, foreign
-// tails stay pending).
-type replayOpts struct {
-	selfHeal      bool // rewrite missing/stale sidecars after replay
-	tornIsDropped bool // a trailing newline-less line counts as dropped
-	dropped       *atomic.Int64
-	replayed      *atomic.Int64
-	met           *atomic.Pointer[Metrics]
-}
-
-// replayAll loads segments into the index, a bounded worker per segment.
-func replayAll[R any](ix *index[R], tab *segTable, paths []string, ids []int32, o replayOpts) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(paths) {
-		workers = len(paths)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	var firstErr error
-	var errMu sync.Mutex
-	for i := range paths {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(path string, id int32) {
-			defer func() { <-sem; wg.Done() }()
-			if err := replayOne(ix, path, id, o); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-			}
-		}(paths[i], ids[i])
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// replayOne indexes one segment: sidecar entries for the covered prefix,
-// a scan for whatever the sidecar does not cover, and (optionally) a
-// rewritten sidecar so the next open takes the fast path.
-func replayOne[R any](ix *index[R], path string, id int32, o replayOpts) error {
-	st, err := os.Stat(path)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	size := st.Size()
-	if size > maxSegmentOff {
-		return fmt.Errorf("store: %s: %w", path, errSegmentTooLarge)
-	}
-	entries, dropped, covered, warm := loadSidecar(path, size)
-	if warm {
-		o.met.Load().sidecarLoad()
-	} else {
-		entries, dropped, covered = nil, 0, 0
-	}
-	torn := false
-	if covered < size {
-		f, err := os.Open(path)
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		if _, err := f.Seek(covered, 0); err != nil {
-			f.Close()
-			return fmt.Errorf("store: %w", err)
-		}
-		res, err := scanSegment(f, covered)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("store: reading %s: %w", path, err)
-		}
-		entries = append(entries, res.entries...)
-		dropped += res.dropped
-		covered += res.consumed
-		torn = res.torn
-		o.replayed.Add(int64(res.parsed))
-		// The scan did work a sidecar would have avoided: seal what we
-		// learned so the next open of this (now static) segment is warm.
-		if o.selfHeal && res.parsed > 0 {
-			if writeSidecar(path, covered, dropped, entries) == nil {
-				o.met.Load().sidecarRebuild()
-			}
-		}
-	}
-	for _, e := range entries {
-		ix.setIfNewer(e.Key, ref{off: e.Off, llen: e.Len, seg: id}, nil)
-	}
-	o.dropped.Add(int64(dropped))
-	if torn && o.tornIsDropped {
-		o.dropped.Add(1)
-	}
-	return nil
-}
-
-// Get returns the stored value for key, if any: an index hit serves from
-// the decode cache or reads exactly one record's bytes off disk. A ref
-// invalidated by a concurrent compaction retries once through the index.
-func (d *Disk[R]) Get(key string) (R, bool) {
-	mt := d.met.Load()
-	t0 := mt.start()
-	v, ok := getLazy(d.idx, d.tab, key, &d.met)
-	mt.lookup(t0, ok)
-	return v, ok
-}
-
-// getLazy is the shared Disk/Shared read path: index → LRU → one pread.
-func getLazy[R any](ix *index[R], tab *segTable, key string, met *atomic.Pointer[Metrics]) (R, bool) {
-	var zero R
-	for attempt := 0; attempt < 2; attempt++ {
-		v, rf, cached, ok := ix.cachedOrRef(key)
-		if !ok {
-			return zero, false
-		}
-		if cached {
-			return v, true
-		}
-		got, err := fetchRecord[R](tab, rf, key)
-		if err == nil {
-			ix.admit(key, rf, got)
-			return got, true
-		}
-		if errors.Is(err, errStaleRef) {
-			continue // compaction moved the record; re-resolve
-		}
-		met.Load().decodeError()
-		return zero, false
-	}
-	return zero, false
-}
-
-// Put appends the record to the active segment and updates the index. The
-// write is a single syscall (no userspace buffering), so a settled Put is on
-// the page cache even if the process dies; Sync forces it to the platter.
-func (d *Disk[R]) Put(key string, v R) error {
-	if key == "" {
-		return fmt.Errorf("store: empty key")
-	}
-	line, err := encodeRecord(key, v)
-	if err != nil {
-		return err
-	}
-	mt := d.met.Load()
-	t0 := mt.start()
-	d.wmu.Lock()
-	if d.closed {
-		d.wmu.Unlock()
-		return fmt.Errorf("store: closed")
-	}
-	if d.seg == nil || d.segSize >= d.SegmentBytes || d.torn ||
-		d.segSize+int64(len(line)) > maxSegmentOff {
-		if err := d.rotateLocked(); err != nil {
-			d.wmu.Unlock()
-			return err
-		}
-	}
-	if _, err := d.seg.Write(line); err != nil {
-		// A short write may have left a torn, newline-less tail; another
-		// append would glue onto it and corrupt BOTH records on reload.
-		// Rotate before the next write — reload then drops only the torn
-		// line, whose Put already reported failure.
-		d.torn = true
-		d.wmu.Unlock()
-		return fmt.Errorf("store: %w", err)
-	}
-	rf := ref{off: uint32(d.segSize), llen: uint32(len(line) - 1), seg: d.segID}
-	d.pending = append(d.pending, sideEntry{Off: rf.off, Len: rf.llen, Key: key})
-	d.segSize += int64(len(line))
-	// Index before releasing wmu: Compact snapshots the index under wmu and
-	// deletes the superseded segment files, so a Put that has written its
-	// bytes must be visible to that snapshot or the acknowledged write is
-	// lost with its segment. setIfNewer only takes a per-shard lock (which
-	// never waits on wmu), so this cannot deadlock.
-	d.idx.setIfNewer(key, rf, &v)
-	d.wmu.Unlock()
-	mt.appended(t0, int(d.idx.count.Load()))
-	return nil
-}
-
-// encodeRecord renders one log line (including the trailing newline).
-func encodeRecord[R any](key string, v R) ([]byte, error) {
-	val, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	line, err := json.Marshal(record{Key: key, Val: val})
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	return append(line, '\n'), nil
-}
-
-// rotateLocked seals the active segment (sidecar + close) and opens the
-// next one. Callers hold wmu.
-func (d *Disk[R]) rotateLocked() error {
-	if err := d.sealLocked(); err != nil {
-		return err
-	}
-	d.torn = false
-	d.segSeq++
-	path := filepath.Join(d.dir, fmt.Sprintf("seg-%08d.jsonl", d.segSeq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	d.seg, d.segPath, d.segSize, d.pending = f, path, 0, nil
-	d.segID = d.tab.add(path)
-	d.live[d.segID] = path
-	d.met.Load().rotated()
-	return nil
-}
-
-// sealLocked closes the active segment, writing its sidecar first so the
-// next open never replays it. Sidecar failures are swallowed: the sidecar
-// is a cache, and replay rebuilds it. Callers hold wmu.
-func (d *Disk[R]) sealLocked() error {
-	if d.seg == nil {
-		return nil
-	}
-	if writeSidecar(d.segPath, d.segSize, 0, d.pending) == nil {
-		d.met.Load().sidecarRebuild()
-	}
-	if err := d.seg.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	d.seg, d.pending = nil, nil
-	return nil
-}
-
-// Keys returns every stored key, sorted. O(n log n) — prefer Len for
-// stats-style callers.
-func (d *Disk[R]) Keys() []string { return d.idx.keys() }
-
-// Len returns the number of stored keys. Allocation-free: a single atomic
-// load off the sharded index.
-func (d *Disk[R]) Len() int { return int(d.idx.count.Load()) }
-
-// Legacy returns how many stored keys the configured WithLegacyKey
-// predicate classifies as legacy (pre-current-fingerprint generations).
-// Counted incrementally during replay and Put — never by rescanning keys —
-// and reduced by Compact, which drops legacy records. Zero when the store
-// was opened without a predicate.
-func (d *Disk[R]) Legacy() int { return int(d.idx.legacy.Load()) }
-
-// Dropped returns how many unparsable log lines the open-time replay skipped
-// — normally zero; nonzero after a crash tore the final line, or if a
-// segment was corrupted out-of-band.
-func (d *Disk[R]) Dropped() int { return int(d.dropped.Load()) }
-
-// Replayed returns how many record lines were JSON-parsed while opening the
-// store. A warm open — every segment carrying a valid sidecar — reports 0:
-// the index was built from offsets alone.
-func (d *Disk[R]) Replayed() int { return int(d.replayed.Load()) }
-
-// Dir returns the directory backing the store.
-func (d *Disk[R]) Dir() string { return d.dir }
-
-// Sync forces the active segment to stable storage.
-func (d *Disk[R]) Sync() error {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	if d.seg == nil {
-		return nil
-	}
-	if err := d.seg.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
-// Close seals the active segment (sidecar included, so the next open is
-// warm), closes every read handle and releases the directory lock. The
-// index stays readable; Put fails after Close.
-func (d *Disk[R]) Close() error {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	if d.closed {
-		return nil
-	}
-	d.closed = true
-	var err error
-	if d.seg != nil {
-		err = d.seg.Sync()
-		if serr := d.sealLocked(); err == nil {
-			err = serr
-		}
-	}
-	d.tab.closeAll()
-	if d.lock != nil {
-		if cerr := d.lock.Close(); err == nil {
-			err = cerr
-		}
-		d.lock = nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
 }

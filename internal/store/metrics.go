@@ -8,8 +8,9 @@ import (
 
 // Metrics collects a store's observability series: lookup/append latency
 // histograms, hit/miss counters, and index-size/segment gauges. Attach one
-// with SetMetrics on Mem, Disk or Shared; a nil *Metrics keeps the store
-// completely uninstrumented (no clock reads, no atomic writes).
+// with WithMetrics when opening a Disk or Shared store, or with SetMetrics
+// on a Mem; a nil *Metrics keeps the store completely uninstrumented (no
+// clock reads, no atomic writes).
 //
 // Build one by hand for tests, or with NewMetrics to register the standard
 // scalefold_store_* series in an obs.Registry.
@@ -32,8 +33,8 @@ type Metrics struct {
 }
 
 // NewMetrics registers the standard store series in r, labeled store=name,
-// and returns them bundled for SetMetrics. Returns nil (uninstrumented) on a
-// nil Registry.
+// and returns them bundled for WithMetrics or Mem.SetMetrics. Returns nil
+// (uninstrumented) on a nil Registry.
 func NewMetrics(r *obs.Registry, name string) *Metrics {
 	if r == nil {
 		return nil

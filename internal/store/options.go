@@ -43,8 +43,7 @@ func WithCache(n int) Option {
 }
 
 // WithMetrics attaches observability series before replay begins, so the
-// open itself (sidecar loads, self-heal rebuilds) is counted. SetMetrics
-// attaches the same series after the fact for stores opened uninstrumented.
+// open itself (sidecar loads, self-heal rebuilds) is counted.
 func WithMetrics(m *Metrics) Option {
 	return func(c *config) { c.metrics = m }
 }

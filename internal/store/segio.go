@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // maxSegmentOff is the largest byte offset a ref can address. Rotation
@@ -17,6 +19,127 @@ const maxSegmentOff = 1<<32 - 1
 
 // errSegmentTooLarge reports a segment whose offsets exceed the ref space.
 var errSegmentTooLarge = errors.New("store: segment exceeds 4GiB; split it or compact with a smaller SegmentBytes")
+
+// record is one log line: a key and its JSON-encoded value.
+type record struct {
+	Key string          `json:"k"`
+	Val json.RawMessage `json:"v"`
+}
+
+// encodeRecord renders one log line (including the trailing newline).
+func encodeRecord[R any](key string, v R) ([]byte, error) {
+	val, err := json.Marshal(v)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	line, err := json.Marshal(record{Key: key, Val: val})
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return append(line, '\n'), nil
+}
+
+// segWriter is a store's one segment writer: Put and Compact both append
+// through it. It owns the segments named dir/<prefix><seq>.jsonl that this
+// store may rewrite and delete (plus, for a Disk, every other segment in
+// the directory), appends record lines to the newest of them, and seals
+// each full segment with its sidecar before starting the next. Callers
+// hold the store's wmu.
+type segWriter struct {
+	dir, prefix string
+	seq         int              // sequence number of the newest owned segment
+	live        map[int32]string // id → path of every owned segment
+	durable     bool             // fsync each segment at seal (compaction)
+	tab         *segTable
+	met         *atomic.Pointer[Metrics]
+
+	f       *os.File    // active segment; nil until the first append
+	id      int32       // its id in the segment table
+	path    string      // its path
+	size    int64       // its length in bytes
+	torn    bool        // last write failed: rotate before appending again
+	pending []sideEntry // its records, for its sidecar
+}
+
+// append writes one record line (newline included) and reports where it
+// landed. It first rotates when no segment is open, the active one has
+// reached limit bytes or would overflow the ref offset space, or the last
+// write failed. The write is a single syscall with no userspace buffering,
+// so a returned ref is on the page cache even if the process dies.
+func (w *segWriter) append(key string, line []byte, limit int64) (ref, error) {
+	if w.f == nil || w.size >= limit || w.torn || w.size+int64(len(line)) > maxSegmentOff {
+		if err := w.rotate(); err != nil {
+			return ref{}, err
+		}
+	}
+	if _, err := w.f.Write(line); err != nil {
+		// A short write may have left a torn, newline-less tail; another
+		// append would glue onto it and corrupt BOTH records on reload.
+		// Rotate before the next write — reload then drops only the torn
+		// line, whose caller already saw the failure.
+		w.torn = true
+		return ref{}, fmt.Errorf("store: %w", err)
+	}
+	r := ref{off: uint32(w.size), llen: uint32(len(line) - 1), seg: w.id}
+	w.pending = append(w.pending, sideEntry{Off: r.off, Len: r.llen, Key: key})
+	w.size += int64(len(line))
+	return r, nil
+}
+
+// rotate seals the active segment and opens the next one.
+func (w *segWriter) rotate() error {
+	if err := w.seal(); err != nil {
+		return err
+	}
+	w.torn = false
+	w.seq++
+	path := filepath.Join(w.dir, fmt.Sprintf("%s%08d.jsonl", w.prefix, w.seq))
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	w.f, w.path, w.size, w.pending = f, path, 0, nil
+	w.id = w.tab.add(path)
+	w.live[w.id] = path
+	w.met.Load().rotated()
+	return nil
+}
+
+// seal closes the active segment, writing its sidecar first so the next
+// open — and every other owner tailing it — never replays it. A durable
+// writer fsyncs the segment before that. Sidecar failures are swallowed:
+// the sidecar is a cache, and replay rebuilds it.
+func (w *segWriter) seal() error {
+	if w.f == nil {
+		return nil
+	}
+	var err error
+	if w.durable {
+		err = w.f.Sync()
+	}
+	if writeSidecar(w.path, w.size, 0, w.pending) == nil {
+		w.met.Load().sidecarRebuild()
+	}
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	w.f, w.pending = nil, nil
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
+}
+
+// sync forces the active segment to stable storage.
+func (w *segWriter) sync() error {
+	if w.f == nil {
+		return nil
+	}
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
+}
 
 // segFile is one segment in the table: its path and a lazily opened
 // read-only handle used by Get-time fetches. The handle is independent of

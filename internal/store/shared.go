@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 )
 
@@ -19,10 +18,11 @@ import (
 // is ever contended across processes, so the single-writer invariant Disk
 // enforces per directory holds per owner instead.
 //
-// Shared shares Disk's million-record machinery: the fingerprint-sharded
-// lazy index (key → segment/offset/length, values decoded on demand through
-// a bounded LRU), sidecar-indexed warm opens, and Compact — which rewrites
-// only this owner's segments and leaves every other owner's untouched.
+// Shared is built on the same core as Disk: the fingerprint-sharded lazy
+// index (key → segment/offset/length, values decoded on demand through a
+// bounded LRU), sidecar-indexed warm opens, the one segment writer, and
+// Compact — which rewrites only this owner's segments and leaves every other
+// owner's untouched.
 //
 // Foreign segments are tailed incrementally: Refresh (and every Get miss)
 // indexes only the bytes other owners appended since the last look, and only
@@ -31,52 +31,20 @@ import (
 // owner sealed it) warm-starts the tail at the covered prefix. Because values
 // are deterministic functions of their fingerprint key, concurrent writers
 // racing on the same key are byte-equivalent and last-write-wins is safe.
+// SegmentBytes works as on Disk.
 type Shared[R any] struct {
-	// SegmentBytes is the rotation threshold (default DefaultSegmentBytes).
-	// Set it before the first Put; it is read under the store lock.
-	SegmentBytes int64
-
-	dir    string
-	owner  string
-	prefix string   // "seg-<owner>-": this store's segment namespace
-	lock   *os.File // flock-held .lock-<owner> file
-	cfg    config
-	met    atomic.Pointer[Metrics]
-
-	idx *index[R]
-	tab *segTable
-
-	// Writer state for this owner's lease (mirrors Disk).
-	wmu     sync.Mutex
-	seg     *os.File // active own segment; nil until the first Put
-	segID   int32
-	segPath string
-	segSize int64
-	segSeq  int
-	torn    bool
-	closed  bool
-	pending []sideEntry
-	ownLive map[int32]string // id → path of this owner's segments
+	core[R]
+	owner string
 
 	// Reader state for everyone else's segments.
 	rmu     sync.Mutex
 	foreign map[string]*foreignSeg // path → tail progress
-
-	dropped  atomic.Int64
-	replayed atomic.Int64
 }
 
 // foreignSeg tracks how far into another owner's segment we have indexed.
 type foreignSeg struct {
 	id       int32
 	consumed int64 // bytes indexed (complete lines only)
-}
-
-// SetMetrics attaches (or, with nil, detaches) observability series. Safe to
-// call at any time, including while the store is in use.
-func (s *Shared[R]) SetMetrics(m *Metrics) {
-	s.met.Store(m)
-	m.records(s.Len())
 }
 
 // OpenShared opens (creating if needed) a shared store rooted at dir, writing
@@ -89,77 +57,30 @@ func (s *Shared[R]) SetMetrics(m *Metrics) {
 //
 // A directory may be used by Disk and Shared stores at different times (both
 // speak the same JSON-lines record format and Disk replays owner-named
-// segments), but not concurrently: Disk's lock claims the whole directory,
-// Shared's only its owner lease.
+// segments), but not concurrently: every owner holds dir/.lock shared until
+// Close, so OpenDisk's exclusive lock is refused while any owner is live, and
+// OpenShared is refused while a Disk holds the directory.
 func OpenShared[R any](dir, owner string, opts ...Option) (*Shared[R], error) {
 	if err := validOwner(owner); err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	lock, err := os.OpenFile(filepath.Join(dir, ".lock-"+owner), os.O_CREATE|os.O_RDWR, 0o644)
+	s := &Shared[R]{owner: owner, foreign: map[string]*foreignSeg{}}
+	foreign, err := s.open(dir, "seg-"+owner+"-", false, opts,
+		dirLock{".lock", syscall.LOCK_SH, dir + " is held by a single-writer Disk store"},
+		dirLock{".lock-" + owner, syscall.LOCK_EX, fmt.Sprintf(
+			"owner %q already writes to %s (owners must be unique per live process)", owner, dir)})
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
-		lock.Close()
-		return nil, fmt.Errorf("store: owner %q already writes to %s (owners must be unique per live process): %w", owner, dir, err)
-	}
-	s := &Shared[R]{
-		SegmentBytes: DefaultSegmentBytes,
-		dir:          dir,
-		owner:        owner,
-		prefix:       "seg-" + owner + "-",
-		lock:         lock,
-		cfg:          buildConfig(opts),
-		tab:          &segTable{},
-		ownLive:      map[int32]string{},
-		foreign:      map[string]*foreignSeg{},
-	}
-	s.met.Store(s.cfg.metrics)
-	s.idx = newIndex[R](s.cfg.shards, s.cfg.cacheEntries, s.cfg.legacy, &s.met)
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.jsonl"))
-	if err != nil {
-		lock.Close()
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	sort.Strings(segs)
-	var ownPaths []string
-	var ownIDs []int32
-	var foreignPaths []string
-	for _, path := range segs {
-		if n, ok := segSeqOf(filepath.Base(path), s.prefix); ok {
-			// Our own lease from a previous run: static now (we always open a
-			// fresh segment), so replay fully and resume numbering after it.
-			id := s.tab.add(path)
-			s.ownLive[id] = path
-			ownPaths = append(ownPaths, path)
-			ownIDs = append(ownIDs, id)
-			if n > s.segSeq {
-				s.segSeq = n
-			}
-			continue
-		}
-		foreignPaths = append(foreignPaths, path)
-	}
-	if err := replayAll(s.idx, s.tab, ownPaths, ownIDs, replayOpts{
-		selfHeal: true, tornIsDropped: true,
-		dropped: &s.dropped, replayed: &s.replayed, met: &s.met,
-	}); err != nil {
-		lock.Close()
 		return nil, err
 	}
 	// Foreign (another owner's, or a plain Disk segment): tail it.
 	s.rmu.Lock()
-	for _, path := range foreignPaths {
+	defer s.rmu.Unlock()
+	for _, path := range foreign {
 		if _, err := s.tailLocked(path); err != nil {
-			s.rmu.Unlock()
-			lock.Close()
+			s.unlock()
 			return nil, err
 		}
 	}
-	s.rmu.Unlock()
 	return s, nil
 }
 
@@ -270,7 +191,7 @@ func (s *Shared[R]) refreshLocked() (int, error) {
 		// OpenShared partitions by. A bare prefix check would also skip a
 		// dash-prefixed sibling's segments (owner "w1" vs "w1-2"), leaving
 		// that owner's records permanently untailed.
-		if _, ok := segSeqOf(filepath.Base(path), s.prefix); ok {
+		if _, ok := segSeqOf(filepath.Base(path), s.w.prefix); ok {
 			continue // our lease: indexed at write time
 		}
 		n, err := s.tailLocked(path)
@@ -288,157 +209,15 @@ func (s *Shared[R]) refreshLocked() (int, error) {
 func (s *Shared[R]) Get(key string) (R, bool) {
 	mt := s.met.Load()
 	t0 := mt.start()
-	v, ok := getLazy(s.idx, s.tab, key, &s.met)
+	v, ok := s.get(key)
 	if !ok {
 		s.Refresh() // best-effort: a read error just means a miss
-		v, ok = getLazy(s.idx, s.tab, key, &s.met)
+		v, ok = s.get(key)
 	}
 	mt.lookup(t0, ok)
-	mt.records(int(s.idx.count.Load()))
+	mt.records(s.Len())
 	return v, ok
 }
 
-// Put appends the record to this owner's active segment and indexes it. Like
-// Disk.Put, the write is a single syscall, so foreign readers only ever see
-// whole-line granularity plus at most one torn tail — which they skip until
-// it completes.
-func (s *Shared[R]) Put(key string, v R) error {
-	if key == "" {
-		return fmt.Errorf("store: empty key")
-	}
-	line, err := encodeRecord(key, v)
-	if err != nil {
-		return err
-	}
-	mt := s.met.Load()
-	t0 := mt.start()
-	s.wmu.Lock()
-	if s.closed {
-		s.wmu.Unlock()
-		return fmt.Errorf("store: closed")
-	}
-	if s.seg == nil || s.segSize >= s.SegmentBytes || s.torn ||
-		s.segSize+int64(len(line)) > maxSegmentOff {
-		if err := s.rotateLocked(); err != nil {
-			s.wmu.Unlock()
-			return err
-		}
-	}
-	if _, err := s.seg.Write(line); err != nil {
-		s.torn = true
-		s.wmu.Unlock()
-		return fmt.Errorf("store: %w", err)
-	}
-	rf := ref{off: uint32(s.segSize), llen: uint32(len(line) - 1), seg: s.segID}
-	s.pending = append(s.pending, sideEntry{Off: rf.off, Len: rf.llen, Key: key})
-	s.segSize += int64(len(line))
-	// Index before releasing wmu — Compact snapshots under wmu and deletes
-	// old segments; see Disk.Put.
-	s.idx.setIfNewer(key, rf, &v)
-	s.wmu.Unlock()
-	mt.appended(t0, int(s.idx.count.Load()))
-	return nil
-}
-
-// rotateLocked seals the active segment (sidecar + close, so other owners
-// and future opens get the warm path) and opens the next one. Callers hold
-// s.wmu.
-func (s *Shared[R]) rotateLocked() error {
-	if err := s.sealLocked(); err != nil {
-		return err
-	}
-	s.torn = false
-	s.segSeq++
-	path := filepath.Join(s.dir, fmt.Sprintf("%s%08d.jsonl", s.prefix, s.segSeq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.seg, s.segPath, s.segSize, s.pending = f, path, 0, nil
-	s.segID = s.tab.add(path)
-	s.ownLive[s.segID] = path
-	s.met.Load().rotated()
-	return nil
-}
-
-// sealLocked closes the active segment after writing its sidecar (best
-// effort — the sidecar is a cache). Callers hold s.wmu.
-func (s *Shared[R]) sealLocked() error {
-	if s.seg == nil {
-		return nil
-	}
-	if writeSidecar(s.segPath, s.segSize, 0, s.pending) == nil {
-		s.met.Load().sidecarRebuild()
-	}
-	if err := s.seg.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.seg, s.pending = nil, nil
-	return nil
-}
-
-// Keys returns every indexed key, sorted. Call Refresh first for a view that
-// includes other owners' latest writes.
-func (s *Shared[R]) Keys() []string { return s.idx.keys() }
-
-// Len returns the number of indexed keys (see Keys about staleness).
-// Allocation-free: a single atomic load.
-func (s *Shared[R]) Len() int { return int(s.idx.count.Load()) }
-
-// Legacy returns how many indexed keys the configured WithLegacyKey
-// predicate classifies as legacy. Zero without a predicate.
-func (s *Shared[R]) Legacy() int { return int(s.idx.legacy.Load()) }
-
-// Dropped returns how many unparsable log lines were skipped so far.
-func (s *Shared[R]) Dropped() int { return int(s.dropped.Load()) }
-
-// Replayed returns how many record lines were JSON-parsed while opening or
-// refreshing the store (sidecar-covered bytes cost zero parses).
-func (s *Shared[R]) Replayed() int { return int(s.replayed.Load()) }
-
-// Dir returns the directory backing the store; Owner this writer's lease.
-func (s *Shared[R]) Dir() string   { return s.dir }
+// Owner returns this writer's lease.
 func (s *Shared[R]) Owner() string { return s.owner }
-
-// Sync forces the active segment to stable storage.
-func (s *Shared[R]) Sync() error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if s.seg == nil {
-		return nil
-	}
-	if err := s.seg.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
-// Close seals the active segment (sidecar included), closes every read
-// handle and releases the owner lease. The index stays readable; Put fails
-// after Close.
-func (s *Shared[R]) Close() error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	var err error
-	if s.seg != nil {
-		err = s.seg.Sync()
-		if serr := s.sealLocked(); err == nil {
-			err = serr
-		}
-	}
-	s.tab.closeAll()
-	if s.lock != nil {
-		if cerr := s.lock.Close(); err == nil {
-			err = cerr
-		}
-		s.lock = nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}

@@ -94,6 +94,56 @@ func TestSharedOwnerLeaseExclusive(t *testing.T) {
 	}
 }
 
+// A Disk owns and compacts every segment in its directory, so it must never
+// open while a fleet owner is live: compacting would delete the owner's
+// active segment, and the owner's next acknowledged Put would vanish on
+// reopen. Both opening orders are refused; owners still coexist, and the
+// Disk opens once every owner has closed.
+func TestDiskAndFleetOwnersExcludeEachOther(t *testing.T) {
+	dir := t.TempDir()
+	w0, err := OpenShared[payload](dir, "w0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w0.Put("a", pay(1)); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := OpenDisk[payload](dir); err == nil {
+		d.Close()
+		t.Fatal("OpenDisk must be refused while a Shared owner is live")
+	}
+	w1, err := OpenShared[payload](dir, "w1")
+	if err != nil {
+		t.Fatalf("two Shared owners must coexist: %v", err)
+	}
+	if err := w0.Put("b", pay(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w0.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := OpenDisk[payload](dir); err == nil {
+		d.Close()
+		t.Fatal("OpenDisk must be refused while any Shared owner is live")
+	}
+	if err := w1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDisk[payload](dir)
+	if err != nil {
+		t.Fatalf("OpenDisk after every owner closed: %v", err)
+	}
+	defer d.Close()
+	if _, err := OpenShared[payload](dir, "w2"); err == nil {
+		t.Fatal("OpenShared must be refused while a Disk holds the directory")
+	}
+	for i, k := range []string{"a", "b"} {
+		if v, ok := d.Get(k); !ok || v != pay(i+1) {
+			t.Fatalf("Get(%s) = %v, %v; acknowledged owner write lost", k, v, ok)
+		}
+	}
+}
+
 func TestSharedIgnoresTornForeignTail(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenShared[payload](dir, "w1")

@@ -5,9 +5,13 @@
 // so a result simulated by one `scalefold sweep`, one figure runner or one
 // sweep-service job is served for free to every later one.
 //
-// Two implementations ship: Mem, a trivial map for tests and store-less
-// serving, and Disk, an append-only JSON-lines segment log reloaded at
-// startup. Both are safe for concurrent use.
+// Three implementations ship: Mem, a trivial map for tests and store-less
+// serving; Disk, an append-only JSON-lines segment log reloaded at startup
+// that one process owns; and Shared, the same log written by a fleet of
+// processes, each appending only to its own owner lease. Disk and Shared
+// are one core with one segment writer — Put and Compact on both append
+// through it — and differ only in their directory lock and in which
+// segments they own. All three are safe for concurrent use.
 package store
 
 import (

@@ -171,12 +171,12 @@ func TestDiskRotatesAfterFailedWrite(t *testing.T) {
 	}
 	// Force a write failure: swap the active segment for a read-only handle
 	// (white-box stand-in for a short write on a full disk).
-	good := d.seg
+	good := d.w.f
 	ro, err := os.Open(good.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.seg = ro
+	d.w.f = ro
 	if err := d.Put("lost", pay(2)); err == nil {
 		t.Fatal("write to read-only segment must fail")
 	}

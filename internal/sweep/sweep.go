@@ -16,7 +16,6 @@ package sweep
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 )
 
@@ -150,10 +149,4 @@ func ParseList(s string) []string {
 		}
 	}
 	return out
-}
-
-// SortPoints orders points by fingerprint — a stable canonical order for
-// emitting results of hand-assembled (non-grid) point sets.
-func SortPoints(ps []Point) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Fingerprint() < ps[j].Fingerprint() })
 }

@@ -125,9 +125,6 @@ func (t *Tensor) Fill(v float32) {
 	}
 }
 
-// Zero sets every element to 0.
-func (t *Tensor) Zero() { t.Fill(0) }
-
 // RandN fills t with normal(0, std) values from rng.
 func (t *Tensor) RandN(rng *rand.Rand, std float64) *Tensor {
 	for i := range t.Data {
