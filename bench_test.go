@@ -56,8 +56,7 @@ func BenchmarkTable1KernelBreakdown(b *testing.B) {
 func BenchmarkFig3BarrierAblation(b *testing.B) {
 	var imbalance8 float64
 	for i := 0; i < b.N; i++ {
-		scalefold.ResetStepCache()
-		for _, bar := range scalefold.Figure3(8) {
+		for _, bar := range scalefold.Figure3(&scalefold.Resolver{}, 8) {
 			if bar.Name == "Imbalance communication" {
 				imbalance8 = bar.Share
 			}
@@ -96,8 +95,7 @@ func BenchmarkFig5PipelineTimeline(b *testing.B) {
 func BenchmarkFig7StepTime(b *testing.B) {
 	var sf8 float64
 	for i := 0; i < b.N; i++ {
-		scalefold.ResetStepCache()
-		for _, r := range scalefold.Figure7() {
+		for _, r := range scalefold.Figure7(&scalefold.Resolver{}) {
 			if r.Label == "ScaleFold (H100x1024, DAP8)" {
 				sf8 = r.Seconds
 			}
@@ -112,8 +110,7 @@ func BenchmarkFig7StepTime(b *testing.B) {
 func BenchmarkFig8OptimizationLadder(b *testing.B) {
 	var final float64
 	for i := 0; i < b.N; i++ {
-		scalefold.ResetStepCache()
-		rungs := scalefold.Ladder()
+		rungs := scalefold.Ladder(&scalefold.Resolver{})
 		final = rungs[len(rungs)-1].Speedup
 	}
 	b.ReportMetric(final, "final-speedup-x")
@@ -125,8 +122,7 @@ func BenchmarkFig8OptimizationLadder(b *testing.B) {
 func BenchmarkFig9TTTBreakdown(b *testing.B) {
 	var evalShare float64
 	for i := 0; i < b.N; i++ {
-		scalefold.ResetStepCache()
-		bars := scalefold.Figure9()
+		bars := scalefold.Figure9(&scalefold.Resolver{})
 		evalShare = bars[1].Shares["eval"] // ScaleFold w/o async eval
 	}
 	b.ReportMetric(100*evalShare, "noasync-eval-share-%")
@@ -138,8 +134,7 @@ func BenchmarkFig9TTTBreakdown(b *testing.B) {
 func BenchmarkFig10TimeToTrain(b *testing.B) {
 	var minutes float64
 	for i := 0; i < b.N; i++ {
-		scalefold.ResetStepCache()
-		rows := scalefold.Figure10()
+		rows := scalefold.Figure10(&scalefold.Resolver{})
 		minutes = rows[2].Minutes
 	}
 	b.ReportMetric(minutes, "scalefold-ttt-minutes")
@@ -151,8 +146,7 @@ func BenchmarkFig10TimeToTrain(b *testing.B) {
 func BenchmarkFig11PretrainingCurve(b *testing.B) {
 	var hours float64
 	for i := 0; i < b.N; i++ {
-		scalefold.ResetStepCache()
-		_, res := scalefold.Figure11()
+		_, res := scalefold.Figure11(&scalefold.Resolver{})
 		hours = res.WallTime.Hours()
 	}
 	b.ReportMetric(hours, "pretrain-hours")
@@ -353,7 +347,7 @@ func sweepBenchSpec(workers int) scalefold.SweepSpec {
 	s.Steps = 2
 	s.Workers = workers
 	s.Cache = sweep.NewCache[cluster.Result]()
-	s.Metrics = &scalefold.SweepMetrics{}
+	s.Resolver = &scalefold.Resolver{Metrics: &scalefold.SweepMetrics{}}
 	return s
 }
 
@@ -361,7 +355,7 @@ func sweepBenchSpec(workers int) scalefold.SweepSpec {
 // satisfaction metrics.
 func benchSweep(b *testing.B, workers int) ([]byte, *scalefold.SweepMetrics) {
 	s := sweepBenchSpec(workers)
-	rows, err := s.Run(nil)
+	rows, err := s.Run(b.Context(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -369,7 +363,7 @@ func benchSweep(b *testing.B, workers int) ([]byte, *scalefold.SweepMetrics) {
 	if err := scalefold.SweepTable(rows).WriteCSV(&buf); err != nil {
 		b.Fatal(err)
 	}
-	return buf.Bytes(), s.Metrics
+	return buf.Bytes(), s.Resolver.Metrics
 }
 
 // BenchmarkSweep24Cells measures sweep throughput per worker count — the
@@ -402,15 +396,16 @@ func BenchmarkSweep24Cells(b *testing.B) {
 		var hitRate float64
 		for i := 0; i < b.N; i++ {
 			s := sweepBenchSpec(4)
-			if _, err := s.Run(nil); err != nil {
+			if _, err := s.Run(b.Context(), nil); err != nil {
 				b.Fatal(err)
 			}
-			s.Metrics = &scalefold.SweepMetrics{} // count the warm pass alone
-			if _, err := s.Run(nil); err != nil {
+			m := &scalefold.SweepMetrics{} // count the warm pass alone
+			s.Resolver = &scalefold.Resolver{Metrics: m}
+			if _, err := s.Run(b.Context(), nil); err != nil {
 				b.Fatal(err)
 			}
-			hits := s.Metrics.MemoHits.Load()
-			total := hits + s.Metrics.Simulated.Load() + s.Metrics.StoreHits.Load()
+			hits := m.MemoHits.Load()
+			total := hits + m.Simulated.Load() + m.StoreHits.Load()
 			hitRate = 100 * float64(hits) / float64(total)
 		}
 		b.ReportMetric(hitRate, "memo-hit-%")
@@ -442,7 +437,7 @@ func BenchmarkAnalyticVsExact(b *testing.B) {
 		s := scalefold.DefaultSweepSpec()
 		s.Mode = mode
 		s.Cache = sweep.NewCache[cluster.Result]()
-		s.Metrics = &scalefold.SweepMetrics{}
+		s.Resolver = &scalefold.Resolver{Metrics: &scalefold.SweepMetrics{}}
 		return s
 	}
 	const cells = 24
@@ -451,7 +446,7 @@ func BenchmarkAnalyticVsExact(b *testing.B) {
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := modeSpec("")
-			rows, err := s.Run(nil)
+			rows, err := s.Run(b.Context(), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -464,7 +459,7 @@ func BenchmarkAnalyticVsExact(b *testing.B) {
 		// One untimed pass warms the estimator's process-global census memo
 		// (shared with figure runs), so the timed passes price steady-state
 		// estimation — the memo cache and store stay cold, as in exact.
-		if _, err := modeSpec(scenario.ModeAnalytic).Run(nil); err != nil {
+		if _, err := modeSpec(scenario.ModeAnalytic).Run(b.Context(), nil); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
@@ -472,7 +467,7 @@ func BenchmarkAnalyticVsExact(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := modeSpec(scenario.ModeAnalytic)
 			var err error
-			if rows, err = s.Run(nil); err != nil {
+			if rows, err = s.Run(b.Context(), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -511,16 +506,16 @@ func BenchmarkSweepObs(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := sweepBenchSpec(4)
 			if instrument {
-				s.Trace = obs.NewTracer()
+				s.Resolver.Trace = obs.NewTracer()
 			} else {
-				s.Metrics = nil
+				s.Resolver = nil
 			}
-			if _, err := s.Run(nil); err != nil {
+			if _, err := s.Run(b.Context(), nil); err != nil {
 				b.Fatal(err)
 			}
 			if instrument {
 				spans := 0
-				for _, ev := range s.Trace.Events() {
+				for _, ev := range s.Resolver.Trace.Events() {
 					if ev.Ph == "X" {
 						spans++
 					}
@@ -617,7 +612,7 @@ func BenchmarkSimulatePerturbed(b *testing.B) {
 // resulting probe savings. CI uploads the run as BENCH_search.json.
 func BenchmarkSearchCliff(b *testing.B) {
 	const gridCells = 41 // ceil(4 decades / 0.1 tolerance) + endpoint
-	spec := func(st store.Store[cluster.Result]) scalefold.SearchSpec {
+	spec := func(r *scalefold.Resolver) scalefold.SearchSpec {
 		return scalefold.SearchSpec{
 			Objective:  "maximize-goodput",
 			Platform:   "H100",
@@ -630,8 +625,8 @@ func BenchmarkSearchCliff(b *testing.B) {
 			Steps:      24,
 			Mode:       scenario.ModeAuto,
 			SimWorkers: runtime.GOMAXPROCS(0),
-			Store:      st,
 			Cache:      sweep.NewCache[cluster.Result](),
+			Resolver:   r,
 		}
 	}
 	var f scalefold.Frontier
@@ -639,13 +634,13 @@ func BenchmarkSearchCliff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Cold store and memo every iteration: the benchmark prices
 		// discovery, not replay.
-		s := spec(store.NewMem[cluster.Result]())
-		sims0 := scalefold.Simulations()
+		var met scalefold.SweepMetrics
+		s := spec(&scalefold.Resolver{Store: store.NewMem[cluster.Result](), Metrics: &met})
 		var err error
 		if f, err = s.Run(); err != nil {
 			b.Fatal(err)
 		}
-		exact = scalefold.Simulations() - sims0
+		exact = met.Simulated.Load()
 		if f.Cliff == nil || !f.Cliff.Found {
 			b.Fatalf("cliff not found: %+v", f.Cliff)
 		}

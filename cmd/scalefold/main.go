@@ -57,8 +57,9 @@ import (
 )
 
 // runners maps figure subcommands to their printers; allRunners is their
-// `scalefold all` execution order.
-var runners = map[string]func(){
+// `scalefold all` execution order. Every printer resolves its cells through
+// the one Resolver main builds, so figures share cells through its store.
+var runners = map[string]func(*scalefold.Resolver){
 	"table1": table1, "fig3": fig3, "fig4": fig4, "fig5": fig5,
 	"fig7": fig7, "fig8": fig8, "fig9": fig9, "fig10": fig10, "fig11": fig11,
 }
@@ -106,9 +107,11 @@ func main() {
 	if !ok && cmd != "all" {
 		os.Exit(unknownCommand(os.Stderr, cmd))
 	}
-	// Figure commands (and `all`) accept -store: the process-wide memo then
-	// sits on the persistent store, so cells shared with earlier figure
-	// runs, `sweep -store` invocations or server jobs are not re-simulated.
+	// Figure commands (and `all`) resolve through one Resolver. Its store is
+	// an in-memory one, so a cell shared by several figures simulates once;
+	// with -store it is the persistent store instead, so cells shared with
+	// earlier figure runs, `sweep -store` invocations or server jobs are not
+	// re-simulated either.
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	storeDir := fs.String("store", "", `persistent result-store directory ("" = off)`)
 	var args []string
@@ -116,29 +119,25 @@ func main() {
 		args = os.Args[2:]
 	}
 	fs.Parse(args)
+	r := &scalefold.Resolver{Store: store.NewMem[cluster.Result]()}
 	if *storeDir != "" {
 		ds, err := store.OpenDisk[cluster.Result](*storeDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", cmd, err)
 			os.Exit(2)
 		}
-		defer func() {
-			scalefold.AttachStore(nil, nil)
-			ds.Close()
-		}()
-		onErr := func(err error) { fmt.Fprintf(os.Stderr, "%s: store: %v\n", cmd, err) }
-		if err := scalefold.AttachStore(ds, onErr); err != nil {
-			onErr(err)
-		}
+		defer ds.Close()
+		r.Store = ds
+		r.OnStoreErr = func(err error) { fmt.Fprintf(os.Stderr, "%s: store: %v\n", cmd, err) }
 	}
 	if cmd == "all" {
 		for _, name := range allRunners {
-			runners[name]()
+			runners[name](r)
 			fmt.Println()
 		}
 		return
 	}
-	run()
+	run(r)
 }
 
 // unknownCommand reports an unrecognized subcommand on w: the command list
@@ -336,6 +335,8 @@ future sweeps, jobs and figure runs`)
 	}
 
 	spec := axes.sweepSpec("sweep")
+	var met scalefold.SweepMetrics
+	spec.Resolver = &scalefold.Resolver{Metrics: &met}
 	if *storeDir != "" {
 		ds, err := store.OpenDisk[cluster.Result](*storeDir)
 		if err != nil {
@@ -343,8 +344,8 @@ future sweeps, jobs and figure runs`)
 			os.Exit(2)
 		}
 		defer ds.Close()
-		spec.Store = ds
-		spec.OnStoreErr = func(err error) { fmt.Fprintf(os.Stderr, "sweep: store: %v\n", err) }
+		spec.Resolver.Store = ds
+		spec.Resolver.OnStoreErr = func(err error) { fmt.Fprintf(os.Stderr, "sweep: store: %v\n", err) }
 	}
 	var progress func(sweep.Progress)
 	if !*quiet {
@@ -357,10 +358,8 @@ future sweeps, jobs and figure runs`)
 				ev.Done, ev.Total, ev.Label, note, ev.Elapsed.Round(time.Millisecond))
 		}
 	}
-	var met scalefold.SweepMetrics
-	spec.Metrics = &met
 	t0 := time.Now()
-	rows, err := spec.Run(progress)
+	rows, err := spec.Run(context.Background(), progress)
 	if err != nil {
 		// Grid errors already carry the "sweep:" package prefix.
 		fmt.Fprintf(os.Stderr, "%v\n", err)
@@ -509,6 +508,8 @@ bounds straddle the resilience cliff`)
 		SimWorkers:  *simWorkers,
 		Mode:        parseMode("resilience", *modeFlag),
 	}
+	var met scalefold.SweepMetrics
+	spec.Resolver = &scalefold.Resolver{Metrics: &met}
 	if *storeDir != "" {
 		ds, err := store.OpenDisk[cluster.Result](*storeDir)
 		if err != nil {
@@ -516,7 +517,7 @@ bounds straddle the resilience cliff`)
 			os.Exit(2)
 		}
 		defer ds.Close()
-		spec.Store = ds
+		spec.Resolver.Store = ds
 	}
 	var progress func(sweep.Progress)
 	if !*quiet {
@@ -529,10 +530,8 @@ bounds straddle the resilience cliff`)
 				ev.Done, ev.Total, ev.Label, note, ev.Elapsed.Round(time.Millisecond))
 		}
 	}
-	var met scalefold.SweepMetrics
-	spec.Metrics = &met
 	t0 := time.Now()
-	rows, err := spec.Run(progress)
+	rows, err := spec.Run(context.Background(), progress)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(2)
@@ -855,7 +854,7 @@ func printJSON(v any) {
 
 func header(s string) { fmt.Printf("=== %s ===\n", s) }
 
-func table1() {
+func table1(*scalefold.Resolver) {
 	header("Table 1: kernel breakdown of the AlphaFold training step")
 	prog := scalefold.KernelCensus()
 	rows := scalefold.Table1()
@@ -881,14 +880,14 @@ func table1() {
 	fmt.Printf("total launches per step: %d (paper: 150887)\n", prog.TotalCalls())
 }
 
-func fig3() {
+func fig3(r *scalefold.Resolver) {
 	header("Figure 3: barriers to DAP scalability (share of actual-vs-ideal gap)")
 	paper := map[int]map[string]float64{
 		2: {"CPU overhead": 65, "Imbalance communication": 6, "Serial modules": 14, "Poor kernel scalability": 9, "Communication workload": 6},
 		4: {"CPU overhead": 30, "Imbalance communication": 43, "Serial modules": 15, "Poor kernel scalability": 7, "Communication workload": 6},
 		8: {"CPU overhead": 18, "Imbalance communication": 54, "Serial modules": 14, "Poor kernel scalability": 9, "Communication workload": 5},
 	}
-	columns := scalefold.Figure3All()
+	columns := scalefold.Figure3All(r)
 	for _, d := range scalefold.Figure3DAPs {
 		fmt.Printf("DAP-%d:\n", d)
 		for _, b := range columns[d] {
@@ -897,7 +896,7 @@ func fig3() {
 	}
 }
 
-func fig4() {
+func fig4(*scalefold.Resolver) {
 	header("Figure 4: sorted batch preparation time (20000 batches)")
 	curve := scalefold.PrepTimeCurve(20000)
 	n := len(curve)
@@ -937,7 +936,7 @@ func stars(n int) string {
 	return string(s)
 }
 
-func fig5() {
+func fig5(*scalefold.Resolver) {
 	header("Figure 5: blocking vs non-blocking data pipeline (paper's scenario)")
 	prep := []time.Duration{1 * time.Second, 7 * time.Second, 3 * time.Second}
 	step := 5 * time.Second
@@ -956,25 +955,25 @@ func fig5() {
 	}
 }
 
-func fig7() {
+func fig7(r *scalefold.Resolver) {
 	header("Figure 7: step time across systems (batch 128)")
 	fmt.Printf("%-32s %10s %10s\n", "configuration", "sim (s)", "paper (s)")
-	for _, r := range scalefold.Figure7() {
+	for _, r := range scalefold.Figure7(r) {
 		fmt.Printf("%-32s %10.2f %10.2f\n", r.Label, r.Seconds, r.Paper)
 	}
 }
 
-func fig8() {
+func fig8(r *scalefold.Resolver) {
 	header("Figure 8: cumulative optimization ladder (speedup vs A100 reference)")
 	fmt.Printf("%-28s %9s %9s %11s\n", "optimization", "step (s)", "speedup", "paper")
-	for _, r := range scalefold.Ladder() {
+	for _, r := range scalefold.Ladder(r) {
 		fmt.Printf("%-28s %9.2f %8.2fx %10.2fx\n", r.Label, r.Seconds, r.Speedup, r.Paper)
 	}
 }
 
-func fig9() {
+func fig9(r *scalefold.Resolver) {
 	header("Figure 9: time-to-train breakdown")
-	for _, bar := range scalefold.Figure9() {
+	for _, bar := range scalefold.Figure9(r) {
 		fmt.Printf("%s (total %.1f min):\n", bar.Label, bar.Break.Total().Minutes())
 		for _, k := range []string{"train", "eval", "train_eval_comm", "init", "compilation"} {
 			fmt.Printf("  %-16s %5.1f%%  (paper %4.0f%%)\n", k, 100*bar.Shares[k], 100*bar.PaperShares[k])
@@ -982,17 +981,17 @@ func fig9() {
 	}
 }
 
-func fig10() {
+func fig10(r *scalefold.Resolver) {
 	header("Figure 10: MLPerf HPC v3.0 time to train")
 	fmt.Printf("%-44s %10s %10s\n", "configuration", "sim (min)", "paper (min)")
-	for _, r := range scalefold.Figure10() {
+	for _, r := range scalefold.Figure10(r) {
 		fmt.Printf("%-44s %10.1f %10.1f\n", r.Label, r.Minutes, r.Paper.Minutes())
 	}
 }
 
-func fig11() {
+func fig11(r *scalefold.Resolver) {
 	header("Figure 11: AlphaFold pretraining from scratch")
-	sched, res := scalefold.Figure11()
+	sched, res := scalefold.Figure11(r)
 	fmt.Printf("phase 1 (GBS 128): step=%v  phase 2 (GBS 256, no Triton MHA): step=%v\n",
 		sched.StepTimeGBS128.Round(time.Millisecond), sched.StepTimeGBS256.Round(time.Millisecond))
 	fmt.Printf("avg_lddt_ca at switch (step %d): %.3f (gate: >0.8 = %v)\n",

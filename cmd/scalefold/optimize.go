@@ -84,6 +84,8 @@ POST /v1/search job instead of running in-process`)
 		Mode:         parseMode("optimize", *modeFlag),
 		SimWorkers:   *simWorkers,
 	}
+	var met scalefold.SweepMetrics
+	spec.Resolver = &scalefold.Resolver{Metrics: &met}
 	if *storeDir != "" {
 		ds, err := store.OpenDisk[cluster.Result](*storeDir)
 		if err != nil {
@@ -91,10 +93,8 @@ POST /v1/search job instead of running in-process`)
 			os.Exit(2)
 		}
 		defer ds.Close()
-		spec.Store = ds
+		spec.Resolver.Store = ds
 	}
-	var met scalefold.SweepMetrics
-	spec.Metrics = &met
 	if !*quiet {
 		spec.OnProbe = func(p search.Probe, src string, dur time.Duration) {
 			fmt.Fprintf(os.Stderr, "[%3d/%3d] %-6s ranks=%d dap=%d fail=%g -> goodput %.3f (%s, %v)\n",

@@ -537,14 +537,12 @@ func (c *Coordinator) Execute(ctx context.Context, cfg scalefold.StepConfig) (cl
 // The report is meaningful only when err is nil.
 func (c *Coordinator) ExecuteReport(ctx context.Context, cfg scalefold.StepConfig) (cluster.Result, CellReport, error) {
 	key := cfg.Fingerprint()
-	if c.st != nil {
-		if r, ok := c.st.Get(key); ok && r.Goodput > 0 {
-			now := c.cfg.Now()
-			return r, CellReport{
-				Key: key, Owner: "coordinator", Source: "store-hit",
-				Enqueued: now, Claimed: now, Settled: now,
-			}, nil
-		}
+	if r, ok := scalefold.StoreHit(c.st, key); ok {
+		now := c.cfg.Now()
+		return r, CellReport{
+			Key: key, Owner: "coordinator", Source: "store-hit",
+			Enqueued: now, Claimed: now, Settled: now,
+		}, nil
 	}
 	c.mu.Lock()
 	if c.closed {

@@ -2,6 +2,7 @@ package fabric_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -50,11 +51,10 @@ func localCSV(t *testing.T, js service.JobSpec) ([]byte, int) {
 		Profile: js.Profile, Arches: js.Arches, Ranks: js.Ranks,
 		DAPs: js.DAPs, Ablations: js.Ablations, Seeds: js.Seeds,
 		Steps: js.Steps, Workers: 4,
-		Cache: sweep.NewCache[cluster.Result](),
 	}
 	ms := store.NewMem[cluster.Result]()
-	s.Store = ms
-	rows, err := s.Run(nil)
+	s.Resolver = &scalefold.Resolver{Store: ms}
+	rows, err := s.Run(t.Context(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,6 @@ func TestFabricByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		fl := fakeworker.Start(t, fakeworker.Options{Workers: workers})
-		sims0 := scalefold.Simulations()
 		st, err := fl.Client.Submit(js)
 		if err != nil {
 			t.Fatal(err)
@@ -139,7 +138,7 @@ func TestFabricByteIdenticalAcrossWorkerCounts(t *testing.T) {
 		// Zero duplicate work: the fleet simulated each fingerprint exactly
 		// once, and both the shared worker store and the coordinator's own
 		// store hold each exactly once.
-		if delta := scalefold.Simulations() - sims0; delta != int64(unique) {
+		if delta := fl.Metrics.Simulated.Load(); delta != int64(unique) {
 			t.Fatalf("workers=%d: fleet ran %d simulations, want %d", workers, delta, unique)
 		}
 		if n := fl.Shared.Len(); n != unique {
@@ -153,6 +152,50 @@ func TestFabricByteIdenticalAcrossWorkerCounts(t *testing.T) {
 			t.Fatalf("workers=%d: unexpected fleet counters on a healthy run: %+v", workers, fs)
 		}
 		fl.Close()
+	}
+}
+
+// TestFabricSearchJobGoesRemote runs an auto-mode search job on a
+// coordinator with one fake worker: its escalated probes must go to the
+// fleet like sweep cells — the coordinator simulates nothing itself — and
+// the streamed Frontier must equal an in-process run's, byte for byte.
+func TestFabricSearchJobGoesRemote(t *testing.T) {
+	js := service.SearchJobSpec{
+		Arch: "H100", Ranks: []int{32, 64}, DAPs: []int{1, 2},
+		FailLo: 1e-4, FailHi: 0.5, Steps: 2, Budget: 16,
+	}
+	local, err := scalefold.SearchSpec{
+		Platform: js.Arch, Ranks: js.Ranks, DAPs: js.DAPs,
+		FailLo: js.FailLo, FailHi: js.FailHi, Steps: js.Steps, Budget: js.Budget,
+	}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := fakeworker.Start(t, fakeworker.Options{Workers: 1})
+	st, err := fl.Client.SubmitSearch(js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, done, err := fl.Client.SearchStream(st.ID, nil)
+	if err != nil || done.State != service.StateDone || f == nil {
+		t.Fatalf("search job: %+v, %v", done, err)
+	}
+	if done.Remote == 0 || done.Simulated != 0 {
+		t.Fatalf("done event %+v; want remote > 0 and nothing simulated on the coordinator", done)
+	}
+	if n := fl.Metrics.Simulated.Load(); n != done.Remote {
+		t.Fatalf("fleet simulated %d probes, the job dispatched %d", n, done.Remote)
+	}
+	got, err := json.Marshal(*f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("fabric frontier differs from local:\n%s\nvs\n%s", got, want)
 	}
 }
 
@@ -187,7 +230,6 @@ func TestFabricSurvivesWorkerKill(t *testing.T) {
 			}
 		},
 	})
-	sims0 := scalefold.Simulations()
 	st, err := fl.Client.Submit(grid8())
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +241,7 @@ func TestFabricSurvivesWorkerKill(t *testing.T) {
 	if got := streamedCSV(t, rows, 8); !bytes.Equal(got, want) {
 		t.Fatalf("post-reassignment CSV differs from local sweep:\n%s\nvs\n%s", got, want)
 	}
-	if delta := scalefold.Simulations() - sims0; delta != int64(unique) {
+	if delta := fl.Metrics.Simulated.Load(); delta != int64(unique) {
 		t.Fatalf("fleet ran %d simulations after a crash, want %d (no duplicate work)", delta, unique)
 	}
 	fs := fl.Server.Coordinator().Fleet()
@@ -285,7 +327,6 @@ func TestFabricStalledWorkerExpiresAndLateCompletesRejected(t *testing.T) {
 			}
 		},
 	})
-	sims0 := scalefold.Simulations()
 	st, err := fl.Client.Submit(grid8())
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +364,7 @@ func TestFabricStalledWorkerExpiresAndLateCompletesRejected(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if delta := scalefold.Simulations() - sims0; delta != int64(unique) {
+	if delta := fl.Metrics.Simulated.Load(); delta != int64(unique) {
 		t.Fatalf("fleet ran %d simulations, want %d (zombie must not re-simulate)", delta, unique)
 	}
 	fs := coord.Fleet()

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
+	"repro/internal/scalefold"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -55,6 +56,10 @@ type Fleet struct {
 	URL    string
 	// Shared is the fleet's shared result store.
 	Shared store.Store[cluster.Result]
+	// Metrics counts how the whole fleet satisfied its claimed cells: every
+	// worker resolves with it, so Metrics.Simulated is the fleet's exact
+	// simulation count.
+	Metrics *scalefold.SweepMetrics
 
 	tb      testing.TB
 	ts      *httptest.Server
@@ -96,19 +101,21 @@ func Start(tb testing.TB, opts Options) *Fleet {
 		poll = 2 * time.Millisecond
 	}
 	f := &Fleet{
-		Server: srv,
-		Client: &service.Client{Base: ts.URL},
-		URL:    ts.URL,
-		Shared: shared,
-		tb:     tb,
-		ts:     ts,
+		Server:  srv,
+		Client:  &service.Client{Base: ts.URL},
+		URL:     ts.URL,
+		Shared:  shared,
+		Metrics: &scalefold.SweepMetrics{},
+		tb:      tb,
+		ts:      ts,
 	}
 	for i := 0; i < opts.Workers; i++ {
 		w := &fabric.Worker{
-			Base:  ts.URL,
-			Name:  fmt.Sprintf("fw-%d", i),
-			Store: shared,
-			Poll:  poll,
+			Base:    ts.URL,
+			Name:    fmt.Sprintf("fw-%d", i),
+			Store:   shared,
+			Poll:    poll,
+			Metrics: f.Metrics,
 		}
 		if opts.Configure != nil {
 			opts.Configure(i, w)

@@ -15,11 +15,12 @@ import (
 )
 
 // Worker is the fleet side of the fabric: it registers with a coordinator,
-// claims cell batches, executes them through the sweep engine's store-backed
-// resolution path (shared-store hit, else simulate and write through), and
-// reports each outcome. `scalefold worker` runs one; the fakeworker harness
-// runs fleets of them in-process. Run is the only entry point; the exported
-// fields configure it and must not change after Run starts.
+// claims cell batches, resolves them through a scalefold.Resolver built from
+// its Store, OnStoreErr and Metrics (shared-store hit, else simulate and
+// write through), and reports each outcome. `scalefold worker` runs one;
+// the fakeworker harness runs fleets of them in-process. Run is the only
+// entry point; the exported fields configure it and must not change after
+// Run starts.
 type Worker struct {
 	// Base is the coordinator root, e.g. "http://127.0.0.1:8823".
 	Base string
@@ -157,6 +158,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	hbCtx, stopHB := context.WithCancel(ctx)
 	defer stopHB()
 	go w.heartbeatLoop(hbCtx, time.Duration(reg.HeartbeatMillis)*time.Millisecond)
+	r := &scalefold.Resolver{Store: w.Store, OnStoreErr: w.OnStoreErr, Metrics: w.Metrics}
 
 	claimFails := 0
 	for {
@@ -205,15 +207,18 @@ func (w *Worker) Run(ctx context.Context) error {
 				// coordinator's loss detection requeues the cells.
 				return nil
 			}
-			w.executeCell(cell)
+			w.executeCell(r, cell)
 		}
 	}
 }
 
-// executeCell runs one claimed cell and reports its outcome, including the
-// measured execution time and how the cell was satisfied (shared-store hit
-// vs simulation) so the coordinator's job trace carries true fleet timings.
-func (w *Worker) executeCell(cell Cell) {
+// executeCell resolves one claimed cell through r and reports its outcome,
+// including the measured execution time and how the cell was satisfied
+// (shared-store hit vs simulation) so the coordinator's job trace carries
+// true fleet timings. A cell that fails to resolve — one naming a platform
+// this build lacks, say, claimed from a newer coordinator — is reported as
+// an error, which requeues it against the coordinator's retry budget.
+func (w *Worker) executeCell(r *scalefold.Resolver, cell Cell) {
 	cfg := scalefold.StepConfig{Name: cell.Name, Scenario: cell.Scenario}
 	req := CompleteRequest{WorkerID: w.ID(), Key: cell.Key}
 	if got := cfg.Fingerprint(); got != cell.Key {
@@ -221,22 +226,13 @@ func (w *Worker) executeCell(cell Cell) {
 		// store; refuse and let the coordinator retry elsewhere.
 		req.Err = "fingerprint mismatch: claimed " + cell.Key + ", scenario encodes " + got
 	} else {
-		// Run against a per-cell probe so the hit/miss outcome of THIS cell
-		// is separable from the worker's lifetime totals, then fold it in.
-		var probe scalefold.SweepMetrics
 		t0 := time.Now()
-		req.Result = cfg.RunVia(w.Store, w.OnStoreErr, &probe)
-		req.ElapsedMillis = float64(time.Since(t0)) / float64(time.Millisecond)
-		if probe.StoreHits.Load() > 0 {
-			req.Source = "store-hit"
+		res, src, err := r.Resolve(context.Background(), cfg)
+		if err != nil {
+			req.Err = err.Error()
 		} else {
-			req.Source = "simulated"
-		}
-		if w.Metrics != nil {
-			w.Metrics.Simulated.Add(probe.Simulated.Load())
-			w.Metrics.StoreHits.Add(probe.StoreHits.Load())
-			w.Metrics.MemoHits.Add(probe.MemoHits.Load())
-			w.Metrics.Remote.Add(probe.Remote.Load())
+			req.Result, req.Source = res, string(src)
+			req.ElapsedMillis = float64(time.Since(t0)) / float64(time.Millisecond)
 		}
 	}
 	// Not bound to the worker's context: a finished cell is still reported

@@ -2,12 +2,15 @@ package fabric
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/scalefold"
 )
 
 // closedThen serves POST /v1/workers/register from a coordinator that is
@@ -60,5 +63,70 @@ func TestRegisterFailsOnlyOnCancel(t *testing.T) {
 	}
 	if n := calls.Load(); n < 2 {
 		t.Fatalf("register made %d calls, want retries until cancelled", n)
+	}
+}
+
+// TestWorkerReportsUnlowerableCellAndKeepsClaiming hands a worker a cell it
+// cannot lower — a platform its build lacks, as a newer coordinator may
+// send. The fingerprint check passes (a fingerprint never fails), so the
+// worker must report the lowering error as the cell's err, which requeues
+// it against the retry budget, and keep claiming instead of crashing.
+func TestWorkerReportsUnlowerableCellAndKeepsClaiming(t *testing.T) {
+	sc := scalefold.Figure7Config("H100", 32, 1).Scenario
+	sc.Platform = "h900-future"
+	cell := Cell{Key: sc.Fingerprint(), Name: "future", Scenario: sc}
+	var claims atomic.Int64
+	completes := make(chan CompleteRequest, 4)
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/workers/register", func(w http.ResponseWriter, r *http.Request) {
+		writeFabricJSON(w, http.StatusOK, RegisterResponse{WorkerID: "w-000001", HeartbeatMillis: 1000, BatchSize: 1})
+	})
+	mux.HandleFunc("POST /v1/workers/heartbeat", func(w http.ResponseWriter, r *http.Request) {
+		writeFabricJSON(w, http.StatusOK, HeartbeatResponse{OK: true})
+	})
+	mux.HandleFunc("POST /v1/workers/claim", func(w http.ResponseWriter, r *http.Request) {
+		var resp ClaimResponse
+		if claims.Add(1) == 1 {
+			resp.Cells = []Cell{cell}
+		}
+		writeFabricJSON(w, http.StatusOK, resp)
+	})
+	mux.HandleFunc("POST /v1/workers/complete", func(w http.ResponseWriter, r *http.Request) {
+		var req CompleteRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Error(err)
+		}
+		completes <- req
+		writeFabricJSON(w, http.StatusOK, CompleteResponse{Accepted: true, Reason: "requeued after worker-reported error"})
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	w := &Worker{Base: ts.URL, Name: "older-build", Poll: time.Millisecond}
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan error, 1)
+	go func() { stopped <- w.Run(ctx) }()
+	defer func() {
+		cancel()
+		if err := <-stopped; err != nil {
+			t.Errorf("Run = %v, want nil on cancel", err)
+		}
+	}()
+	select {
+	case req := <-completes:
+		if req.Key != cell.Key || req.Err == "" {
+			t.Fatalf("complete = %+v; want the cell reported with a non-empty err", req)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker never completed the cell it cannot lower")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for claims.Load() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker stopped claiming after the failed cell (%d claims)", claims.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := w.Completed(); n != 0 {
+		t.Fatalf("Completed = %d; a failed cell must not count as completed", n)
 	}
 }

@@ -1,6 +1,7 @@
 package scalefold
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestAnalyticWithinBoundsOnDefaultGrid(t *testing.T) {
 			}
 			spec.Perturb = p
 			spec.Cache = sweep.NewCache[cluster.Result]()
-			rows, err := spec.Run(nil)
+			rows, err := spec.Run(t.Context(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,22 +73,17 @@ func TestSweepModeAnalyticKeysAndMetrics(t *testing.T) {
 	st := store.NewMem[cluster.Result]()
 	var met SweepMetrics
 	spec.Cache = sweep.NewCache[cluster.Result]()
-	spec.Store = st
-	spec.Metrics = &met
+	spec.Resolver = &Resolver{Store: st, Metrics: &met}
 
-	sims0 := Simulations()
-	rows, err := spec.Run(nil)
+	rows, err := spec.Run(t.Context(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Simulations() - sims0; got != 0 {
+	if got := met.Simulated.Load(); got != 0 {
 		t.Errorf("analytic sweep ran the exact simulator %d times", got)
 	}
 	if got := met.Analytic.Load(); got != int64(len(rows)) {
 		t.Errorf("Analytic = %d, want %d", got, len(rows))
-	}
-	if got := met.Simulated.Load(); got != 0 {
-		t.Errorf("Simulated = %d, want 0", got)
 	}
 	for _, k := range st.Keys() {
 		if !strings.HasPrefix(k, "v5:") {
@@ -107,8 +103,8 @@ func TestSweepModeAnalyticKeysAndMetrics(t *testing.T) {
 	// table is byte-identical.
 	var met2 SweepMetrics
 	spec.Cache = sweep.NewCache[cluster.Result]()
-	spec.Metrics = &met2
-	rows2, err := spec.Run(nil)
+	spec.Resolver = &Resolver{Store: st, Metrics: &met2}
+	rows2, err := spec.Run(t.Context(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +125,12 @@ func TestSweepModeAnalyticKeysAndMetrics(t *testing.T) {
 	exact := spec
 	exact.Mode = ""
 	exact.Cache = sweep.NewCache[cluster.Result]()
-	exact.Store = store.NewMem[cluster.Result]()
-	exact.Metrics = nil
-	if _, err := exact.Run(nil); err != nil {
+	exactStore := store.NewMem[cluster.Result]()
+	exact.Resolver = &Resolver{Store: exactStore}
+	if _, err := exact.Run(t.Context(), nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range exact.Store.Keys() {
+	for _, k := range exactStore.Keys() {
 		if !strings.HasPrefix(k, "v3:") {
 			t.Errorf("exact cell stored under non-v3 key %s", k)
 		}
@@ -174,7 +170,7 @@ func TestSweepModePrecedence(t *testing.T) {
 		Mode:      scenario.ModeAnalytic,
 		Cache:     sweep.NewCache[cluster.Result](),
 	}
-	rows, err := spec.Run(nil)
+	rows, err := spec.Run(t.Context(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +188,7 @@ func TestSweepModePrecedence(t *testing.T) {
 		Scenarios: []scenario.Scenario{withMode(scenario.ModeExact)},
 		Cache:     sweep.NewCache[cluster.Result](),
 	}
-	rows2, err := spec2.Run(nil)
+	rows2, err := spec2.Run(t.Context(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,12 +208,11 @@ func TestAnalyticCellsNeverDispatch(t *testing.T) {
 	spec.Mode = scenario.ModeAnalytic
 	spec.Cache = sweep.NewCache[cluster.Result]()
 	var met SweepMetrics
-	spec.Metrics = &met
-	spec.Runner = func(c StepConfig) (cluster.Result, error) {
+	spec.Resolver = &Resolver{Metrics: &met, Remote: func(_ context.Context, c StepConfig) (cluster.Result, error) {
 		t.Errorf("analytic cell %s dispatched to the fabric", c.Fingerprint())
-		return c.simulate(), nil
-	}
-	rows, err := spec.Run(nil)
+		return cluster.Result{}, nil
+	}}
+	rows, err := spec.Run(t.Context(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +237,7 @@ func TestAutoEscalationDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := SweepSpec{Mode: scenario.ModeAuto}
+	var r Resolver
 	resolve := func() []string {
 		modes := make([]string, len(scs))
 		for i, sc := range scs {
@@ -250,7 +245,7 @@ func TestAutoEscalationDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			modes[i] = spec.resolveMode(n, nil).Mode
+			modes[i] = r.resolveMode(n, scenario.ModeAuto).Mode
 		}
 		return modes
 	}
@@ -285,10 +280,9 @@ func TestAutoEscalationDeterministic(t *testing.T) {
 		Scenarios: scs,
 		Mode:      scenario.ModeAuto,
 		Cache:     sweep.NewCache[cluster.Result](),
-		Store:     st,
-		Metrics:   &met,
+		Resolver:  &Resolver{Store: st, Metrics: &met},
 	}
-	if _, err := run.Run(nil); err != nil {
+	if _, err := run.Run(t.Context(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := met.Escalated.Load(); got != int64(exactN) {

@@ -19,23 +19,23 @@ type Fig9Bar struct {
 
 // refMLPerfStep returns the reference step time at the MLPerf scale
 // (256 H100, global batch 256 — one sample per rank, no DAP).
-func refMLPerfStep() time.Duration {
-	return ReferenceConfig("H100", 256).Run().MeanStep
+func refMLPerfStep(r *Resolver) time.Duration {
+	return r.must(ReferenceConfig("H100", 256)).MeanStep
 }
 
 // scaleFoldMLPerfStep returns the fully-optimized step time at 2048 H100
 // with DAP-8 (the ladder's final configuration).
-func scaleFoldMLPerfStep() time.Duration {
+func scaleFoldMLPerfStep(r *Resolver) time.Duration {
 	c := Figure7Config("H100", 2048, 8)
 	c.Census.TorchCompile = true
 	c.DisableGC = true
-	return c.Run().MeanStep
+	return r.must(c).MeanStep
 }
 
 // Figure9 reproduces the time-to-train breakdown bars.
-func Figure9() []Fig9Bar {
-	ref := mlperf.TimeToTrain(mlperf.ReferenceRun(refMLPerfStep()))
-	sf := scaleFoldMLPerfStep()
+func Figure9(r *Resolver) []Fig9Bar {
+	ref := mlperf.TimeToTrain(mlperf.ReferenceRun(refMLPerfStep(r)))
+	sf := scaleFoldMLPerfStep(r)
 	noAsync := mlperf.TimeToTrain(mlperf.ScaleFoldRun(sf, false))
 	async := mlperf.TimeToTrain(mlperf.ScaleFoldRun(sf, true))
 	return []Fig9Bar{
@@ -55,9 +55,9 @@ func Figure9() []Fig9Bar {
 }
 
 // Figure10 reproduces the time-to-train bars (minutes).
-func Figure10() []mlperf.Fig10Row {
-	ref := mlperf.TimeToTrain(mlperf.ReferenceRun(refMLPerfStep()))
-	sf := scaleFoldMLPerfStep()
+func Figure10(r *Resolver) []mlperf.Fig10Row {
+	ref := mlperf.TimeToTrain(mlperf.ReferenceRun(refMLPerfStep(r)))
+	sf := scaleFoldMLPerfStep(r)
 	noAsync := mlperf.TimeToTrain(mlperf.ScaleFoldRun(sf, false))
 	async := mlperf.TimeToTrain(mlperf.ScaleFoldRun(sf, true))
 	return []mlperf.Fig10Row{
@@ -71,17 +71,17 @@ func Figure10() []mlperf.Fig10Row {
 // the end-to-end wall time. Phase 1 runs global batch 128 on 1024 training
 // GPUs; phase 2 runs global batch 256 on 2048 training GPUs with the Triton
 // MHA kernel disabled (§4.2).
-func Figure11() (curve.Schedule, curve.Result) {
+func Figure11(r *Resolver) (curve.Schedule, curve.Result) {
 	p1 := Figure7Config("H100", 1024, 8)
 	p1.Census.TorchCompile = true
 	p1.DisableGC = true
-	step128 := p1.Run().MedianStep
+	step128 := r.must(p1).MedianStep
 
 	p2 := Figure7Config("H100", 2048, 8)
 	p2.Census.TorchCompile = true
 	p2.DisableGC = true
 	p2.Census.FusedMHA = false // "disable Triton mha kernel" for GBS 256
-	step256 := p2.Run().MedianStep
+	step256 := r.must(p2).MedianStep
 
 	sched := curve.PaperSchedule(step128, step256)
 	return sched, sched.Pretrain()

@@ -1,13 +1,13 @@
 package scalefold
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/perturb"
 	"repro/internal/scenario"
-	"repro/internal/store"
 	"repro/internal/sweep"
 )
 
@@ -47,12 +47,8 @@ type ResilienceSpec struct {
 	// Execution knobs, as in SweepSpec.
 	Workers    int
 	SimWorkers int
-	Store      store.Store[cluster.Result]
 	Cache      *sweep.Cache[cluster.Result]
-	// Metrics, when non-nil, counts how each executed cell was satisfied —
-	// the same counters a sweep-service job exports, so the CLI's run
-	// summary prints the numbers servers would.
-	Metrics *SweepMetrics
+	Resolver   *Resolver
 }
 
 // DefaultResilienceSpec is the out-of-the-box resilience sweep: the paper's
@@ -111,7 +107,7 @@ func (s ResilienceSpec) Scenarios() ([]scenario.Scenario, error) {
 // Run executes the sweep on the engine (explicit-scenario path: every cell
 // is fully specified, memoized and store-backed like any other scenario)
 // and returns one row per (ranks, fail_prob) cell in declaration order.
-func (s ResilienceSpec) Run(onProgress func(sweep.Progress)) ([]ResilienceRow, error) {
+func (s ResilienceSpec) Run(ctx context.Context, onProgress func(sweep.Progress)) ([]ResilienceRow, error) {
 	scs, err := s.Scenarios()
 	if err != nil {
 		return nil, err
@@ -121,11 +117,10 @@ func (s ResilienceSpec) Run(onProgress func(sweep.Progress)) ([]ResilienceRow, e
 		Workers:    s.Workers,
 		SimWorkers: s.SimWorkers,
 		Mode:       s.Mode,
-		Store:      s.Store,
 		Cache:      s.Cache,
-		Metrics:    s.Metrics,
+		Resolver:   s.Resolver,
 	}
-	sweepRows, err := sw.Run(onProgress)
+	sweepRows, err := sw.Run(ctx, onProgress)
 	if err != nil {
 		return nil, err
 	}

@@ -75,7 +75,7 @@ func TestResilienceTableDeterministicAndDegrading(t *testing.T) {
 	render := func(workers int) (string, []ResilienceRow) {
 		spec := tinyResilienceSpec()
 		spec.Workers = workers
-		rows, err := spec.Run(nil)
+		rows, err := spec.Run(t.Context(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,19 +5,21 @@
 // users compose StepConfig values; the cmd/scalefold CLI and bench_test.go
 // call the experiment runners here.
 //
-// Every experiment runner is a thin grid declaration over the sweep engine
-// (package sweep): configurations are expanded, fingerprinted, executed on a
-// bounded worker pool and memoized process-wide, so a cell shared by several
-// figures — e.g. the A100 reference step — simulates exactly once.
+// Every cell becomes a Result through one Resolver (resolver.go): store hit,
+// else analytic estimate, fabric dispatch or exact simulation, written
+// through and counted. The experiment runners are thin grid declarations
+// over the sweep engine (package sweep) that take a Resolver: cells are
+// fingerprinted, run on a bounded worker pool and memoized for the run, and
+// a cell shared by several figures — e.g. the A100 reference step —
+// simulates once when the figures share the Resolver's store. The package
+// keeps no process-wide results: two Resolvers share only what their stores
+// share.
 package scalefold
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/analytic"
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/gpu"
@@ -44,75 +46,12 @@ var Ablations = scenario.Ablations
 
 func fullModelConfig() model.Config { return model.FullConfig() }
 
-// clusterOptions lowers the step configuration to simulator options. The
-// scenario is validated by every user-input path (CLI flags, sweep grids,
-// job submission) before it gets here, so a failure is a programming error.
-func (c StepConfig) clusterOptions() cluster.Options {
-	o, err := c.Options()
-	if err != nil {
-		panic("scalefold: unvalidated scenario reached the simulator: " + err.Error())
-	}
-	return o
-}
-
-// stepCache memoizes simulation results process-wide by scenario
-// fingerprint: the reference cell shared by Figures 7, 8, 9 and 10 runs
-// once, and repeated sweep cells are free. It is the volatile L1 of the
-// memo; AttachStore adds a persistent L2 underneath it.
-var stepCache = sweep.NewCache[cluster.Result]()
-
-// The process-wide persistent layer under stepCache (nil = memory only).
-var (
-	storeMu      sync.RWMutex
-	procStore    store.Store[cluster.Result]
-	procStoreErr func(error)
-)
-
-// simCount counts actual simulator executions (cold cells): the quantity
-// memoization and the persistent store exist to minimize. Simulations
-// reports it; the sweep service exposes it as a metric.
-var simCount atomic.Int64
-
-// Simulations returns how many times the cluster simulator has actually run
-// in this process — cache and store hits excluded.
-func Simulations() int64 { return simCount.Load() }
-
-// AttachStore puts the process-wide memo on a persistent store: every
-// simulation triggered by StepConfig.Run, the figure runners or SweepSpec.Run
-// (unless the spec carries its own Store) first consults s and writes its
-// result through afterwards. The current in-memory memo is drained into s —
-// via sweep.Cache.Snapshot — so results computed before attachment persist
-// too; the first drain error is returned (the attachment stands regardless).
-// onErr, when non-nil, receives later write-through errors; lookups and
-// simulation proceed when the store misbehaves, so a full disk degrades to
-// memory-only operation rather than failing sweeps. Pass nil to detach.
-func AttachStore(s store.Store[cluster.Result], onErr func(error)) error {
-	storeMu.Lock()
-	procStore, procStoreErr = s, onErr
-	storeMu.Unlock()
-	if s == nil {
-		return nil
-	}
-	var firstErr error
-	for _, e := range stepCache.Snapshot() {
-		if err := s.Put(e.Key, e.Value); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// processStore returns the currently attached store, if any.
-func processStore() (store.Store[cluster.Result], func(error)) {
-	storeMu.RLock()
-	defer storeMu.RUnlock()
-	return procStore, procStoreErr
-}
-
 // censusCache memoizes kernel censuses by their options. A census is a pure
 // deterministic derivation of the (fixed) model config, read-only once
 // built, so sharing one *workload.Program across simulations is safe and
 // saves the census rebuild on every cell that varies only seed or ablation.
+// It is the package's one piece of process-wide state: results are never
+// memoized process-wide (see Resolver).
 var censusCache = sweep.NewCache[*workload.Program]()
 
 func censusFor(cen workload.Options) *workload.Program {
@@ -122,155 +61,34 @@ func censusFor(cen workload.Options) *workload.Program {
 	return prog
 }
 
-// ResetStepCache drops every memoized simulation result. Benchmarks call it
-// between iterations so repeated figure runs measure the simulator, not a
-// cache lookup, and so seed-varying loops don't grow the cache without
-// bound. Censuses stay cached — they are immutable derivations of the model
-// config, not per-scenario work. Not safe concurrently with running sweeps.
-func ResetStepCache() { stepCache = sweep.NewCache[cluster.Result]() }
-
-// simulate runs the configuration cold, bypassing the memoization cache and
-// the persistent store.
-func (c StepConfig) simulate() cluster.Result {
-	simCount.Add(1)
-	return cluster.Simulate(censusFor(c.Census), c.Ranks, c.DAP, c.clusterOptions())
-}
-
-// simulateVia resolves the configuration against a persistent store:
-// store hit, else simulate and write through. m, when non-nil, counts how
-// the cell was satisfied. This is the compute function under every memo
-// lookup — the in-memory cache stays the singleflight layer on top.
-//
-// A stored record with Goodput 0 predates the perturbation layer's Result
-// metrics (every simulated Result has Goodput > 0 — it is exactly 1 on a
-// healthy run): its key is still valid (the v3 encoding didn't move), but
-// serving it would print zero goodput/percentiles where a fresh simulation
-// reports real ones. Such records are transparently upgraded — re-simulated
-// (bit-identical legacy fields, by the determinism contract) and
-// overwritten with the full metrics.
-func (c StepConfig) simulateVia(st store.Store[cluster.Result], onErr func(error), m *SweepMetrics) cluster.Result {
-	r, _ := c.simulateViaSrc(st, onErr, m)
-	return r
-}
-
-// simulateViaSrc is simulateVia plus the resolution source — "store-hit" when
-// the persistent store satisfied the cell, "simulated" when the simulator ran,
-// "analytic" when the closed-form estimator served it — which the sweep
-// layer's cell-lifecycle tracing records as span metadata.
-func (c StepConfig) simulateViaSrc(st store.Store[cluster.Result], onErr func(error), m *SweepMetrics) (cluster.Result, string) {
-	return c.simulateViaSrcObs(st, onErr, m, nil)
-}
-
-// simulateViaSrcObs is simulateViaSrc plus the estimate-latency observer the
-// sweep service's histogram hangs off. Non-exact modes route here: analytic
-// cells go to the estimator, and an auto cell that reached this layer
-// unresolved (direct StepConfig.Run users — SweepSpec.Run resolves at
-// lowering) is resolved the same deterministic way first.
-func (c StepConfig) simulateViaSrcObs(st store.Store[cluster.Result], onErr func(error), m *SweepMetrics, onEstimate func(time.Duration)) (cluster.Result, string) {
-	if c.Mode == scenario.ModeAuto {
-		var escalated bool
-		if c, escalated = c.ResolveAuto(); escalated && m != nil {
-			m.Escalated.Add(1)
-		}
-	}
-	if c.Mode == scenario.ModeAnalytic {
-		return c.estimateViaSrc(st, onErr, m, onEstimate)
-	}
-	if st == nil {
-		if m != nil {
-			m.Simulated.Add(1)
-		}
-		return c.simulate(), "simulated"
-	}
-	key := c.Fingerprint()
-	if r, ok := st.Get(key); ok && r.Goodput > 0 {
-		if m != nil {
-			m.StoreHits.Add(1)
-		}
-		return r, "store-hit"
-	}
-	r := c.simulate()
-	if m != nil {
-		m.Simulated.Add(1)
-	}
-	if err := st.Put(key, r); err != nil && onErr != nil {
-		onErr(err)
-	}
-	return r, "simulated"
-}
-
-// estimateViaSrc resolves an analytic-mode cell: store hit under its v5 key,
-// else the closed-form estimate (package analytic), written through like any
-// simulated result — so estimates persist, memoize and stream exactly like
-// exact cells, just under their own key generation. The estimator never bumps
-// the Simulations counter: that counts exact simulator runs, the quantity the
-// fast path exists to avoid.
-func (c StepConfig) estimateViaSrc(st store.Store[cluster.Result], onErr func(error), m *SweepMetrics, onEstimate func(time.Duration)) (cluster.Result, string) {
-	key := c.Fingerprint()
-	if st != nil {
-		if r, ok := st.Get(key); ok && r.Goodput > 0 {
-			if m != nil {
-				m.StoreHits.Add(1)
-			}
-			return r, "store-hit"
-		}
-	}
-	t0 := time.Now()
-	r, _, err := analytic.Estimate(c.Scenario)
-	if err != nil {
-		panic("scalefold: unvalidated scenario reached the estimator: " + err.Error())
-	}
-	if onEstimate != nil {
-		onEstimate(time.Since(t0))
-	}
-	if m != nil {
-		m.Analytic.Add(1)
-	}
-	if st != nil {
-		if err := st.Put(key, r); err != nil && onErr != nil {
-			onErr(err)
-		}
-	}
-	return r, "analytic"
-}
-
-// RunVia resolves the configuration against an explicit store — store hit,
-// else simulate and write through — without touching the process-wide memo
-// cache. Fabric workers execute claimed cells with it: the shared result
-// store IS their memo, so a cell finished by any worker is a hit for every
-// worker, and the Simulations counter reflects actual simulator runs only.
+// RunVia resolves the configuration against st — a store hit, else a
+// simulation (or estimate) written through — counting on m: Resolve on a
+// one-off Resolver. It panics on a scenario that does not lower, which
+// Resolve reports as an error instead.
 func (c StepConfig) RunVia(st store.Store[cluster.Result], onErr func(error), m *SweepMetrics) cluster.Result {
-	return c.simulateVia(st, onErr, m)
+	return (&Resolver{Store: st, OnStoreErr: onErr, Metrics: m}).must(c)
 }
 
-// Run simulates the configuration and returns the cluster result, memoized
-// by Fingerprint and backed by the attached persistent store, if any.
-func (c StepConfig) Run() cluster.Result {
-	res, _ := stepCache.Do(c.Fingerprint(), func() cluster.Result {
-		st, onErr := processStore()
-		return c.simulateVia(st, onErr, nil)
-	})
-	return res
-}
+// Run resolves the configuration once, with no store: one cold simulation
+// (or estimate). Callers that resolve many cells share a Resolver instead.
+func (c StepConfig) Run() cluster.Result { return c.RunVia(nil, nil, nil) }
 
 // StepSeconds simulates and returns the median step time in seconds — the
 // quantity a step-time microbenchmark reports (rare data stalls excluded).
 func (c StepConfig) StepSeconds() float64 { return c.Run().MedianStep.Seconds() }
 
-// runConfigs executes step configurations through the sweep engine on
-// `workers` goroutines (<= 0: GOMAXPROCS), sharing the process-wide
-// memoization cache. Results come back in input order, so downstream output
-// is byte-identical for every worker count.
-func runConfigs(workers int, cfgs []StepConfig) []cluster.Result {
+// runConfigs resolves step configurations through r on the sweep engine's
+// GOMAXPROCS workers, with a memo that lives for this call: a cell repeated
+// within one figure resolves once, and sharing across figures comes from
+// r's store. Results come back in input order, so downstream output is
+// byte-identical for every worker count.
+func runConfigs(r *Resolver, cfgs []StepConfig) []cluster.Result {
 	cells := make([]sweep.Cell[StepConfig], len(cfgs))
 	for i, c := range cfgs {
 		cells[i] = sweep.Cell[StepConfig]{Key: c.Fingerprint(), Label: c.Name, Config: c}
 	}
-	eng := sweep.Engine[StepConfig, cluster.Result]{Workers: workers, Cache: stepCache}
-	return eng.Run(cells, func(c StepConfig) cluster.Result {
-		st, onErr := processStore()
-		return c.simulateVia(st, onErr, nil)
-	})
+	eng := sweep.Engine[StepConfig, cluster.Result]{Cache: sweep.NewCache[cluster.Result]()}
+	return eng.Run(cells, r.must)
 }
 
 // platformLabel returns the GPU architecture name of a platform for figure
@@ -364,13 +182,13 @@ func figure7Rows() []Fig7Row {
 
 // Figure7 reproduces the step-time comparison of Figure 7, running the
 // declared cells through the parallel sweep engine.
-func Figure7() []Fig7Row {
+func Figure7(r *Resolver) []Fig7Row {
 	rows := figure7Rows()
 	cfgs := make([]StepConfig, len(rows))
 	for i, r := range rows {
 		cfgs[i] = r.Config
 	}
-	res := runConfigs(0, cfgs)
+	res := runConfigs(r, cfgs)
 	for i := range rows {
 		rows[i].Seconds = res[i].MedianStep.Seconds()
 	}
@@ -417,21 +235,21 @@ var ladderRungs = []struct {
 // paper's order, measured as speedup over the A100 reference. The rung
 // configurations come from the ladderRungs declaration; all rungs simulate
 // concurrently on the sweep engine.
-func Ladder() []Rung {
+func Ladder(r *Resolver) []Rung {
 	rungs := make([]Rung, len(ladderRungs))
 	cfgs := make([]StepConfig, len(ladderRungs))
 	cum := ReferenceConfig("H100", 128)
-	for i, r := range ladderRungs {
+	for i, l := range ladderRungs {
 		c := ReferenceConfig("A100", 128)
-		if r.Apply != nil {
-			r.Apply(&cum)
+		if l.Apply != nil {
+			l.Apply(&cum)
 			c = cum
-			c.Name = r.Label
+			c.Name = l.Label
 		}
-		rungs[i] = Rung{Label: r.Label, Paper: r.Paper, Config: c}
+		rungs[i] = Rung{Label: l.Label, Paper: l.Paper, Config: c}
 		cfgs[i] = c
 	}
-	res := runConfigs(0, cfgs)
+	res := runConfigs(r, cfgs)
 	base := res[0].MedianStep.Seconds()
 	for i := range rungs {
 		rungs[i].Seconds = res[i].MedianStep.Seconds()
@@ -525,18 +343,18 @@ func figure3Bars(dapN int, res cluster.Result) []Barrier {
 var Figure3DAPs = []int{2, 4, 8}
 
 // Figure3 reproduces one barrier-breakdown column.
-func Figure3(dapN int) []Barrier {
-	return figure3Bars(dapN, figure3Config(dapN).Run())
+func Figure3(r *Resolver, dapN int) []Barrier {
+	return figure3Bars(dapN, r.must(figure3Config(dapN)))
 }
 
 // Figure3All runs the whole barrier ablation as one grid sweep over the DAP
 // axis and returns the columns keyed by DAP degree.
-func Figure3All() map[int][]Barrier {
+func Figure3All(r *Resolver) map[int][]Barrier {
 	cfgs := make([]StepConfig, len(Figure3DAPs))
 	for i, d := range Figure3DAPs {
 		cfgs[i] = figure3Config(d)
 	}
-	res := runConfigs(0, cfgs)
+	res := runConfigs(r, cfgs)
 	out := make(map[int][]Barrier, len(Figure3DAPs))
 	for i, d := range Figure3DAPs {
 		out[d] = figure3Bars(d, res[i])
@@ -547,7 +365,7 @@ func Figure3All() map[int][]Barrier {
 // BaselineDAPSpeedups reproduces the §3.1 observation that naively applying
 // DAP to the unoptimized training yields only 1.42×/1.57×/≈1.57× at
 // DAP-2/4/8. Returned values are speedups over the DAP-1 baseline.
-func BaselineDAPSpeedups() map[int]float64 {
+func BaselineDAPSpeedups(r *Resolver) map[int]float64 {
 	cfgs := []StepConfig{ReferenceConfig("A100", 128)}
 	for _, d := range []int{2, 4, 8} {
 		cen := workload.Baseline()
@@ -556,7 +374,7 @@ func BaselineDAPSpeedups() map[int]float64 {
 			Platform: "A100", Ranks: 128 * d, DAP: d, Census: cen, Seed: 1,
 		}})
 	}
-	res := runConfigs(0, cfgs)
+	res := runConfigs(r, cfgs)
 	base := res[0].MedianStep.Seconds()
 	out := map[int]float64{}
 	for i, d := range []int{2, 4, 8} {

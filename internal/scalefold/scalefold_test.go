@@ -5,8 +5,15 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/dataset"
+	"repro/internal/store"
 )
+
+// figures is the Resolver every figure test shares: its store plays the part
+// the CLI's `scalefold all` store does, so a cell one figure resolved (the
+// A100 reference step, the DAP-8 flagship) is a store hit for the next.
+var figures = &Resolver{Store: store.NewMem[cluster.Result]()}
 
 // skipIfShort skips figure-scale simulations under -short: the race-checked
 // CI job runs `go test -race -short ./...` for concurrency coverage (sweep
@@ -34,7 +41,7 @@ func within(t *testing.T, name string, got, want, relTol float64) {
 
 func TestFigure7Shape(t *testing.T) {
 	skipIfShort(t)
-	rows := Figure7()
+	rows := Figure7(figures)
 	byLabel := map[string]float64{}
 	for _, r := range rows {
 		byLabel[r.Label] = r.Seconds
@@ -67,7 +74,7 @@ func TestFigure7Shape(t *testing.T) {
 
 func TestFigure7DAPSpeedupsNearPaper(t *testing.T) {
 	skipIfShort(t)
-	rows := Figure7()
+	rows := Figure7(figures)
 	byLabel := map[string]float64{}
 	for _, r := range rows {
 		byLabel[r.Label] = r.Seconds
@@ -81,7 +88,7 @@ func TestFigure7DAPSpeedupsNearPaper(t *testing.T) {
 
 func TestLadderMonotoneAndFinalSpeedup(t *testing.T) {
 	skipIfShort(t)
-	rungs := Ladder()
+	rungs := Ladder(figures)
 	if len(rungs) != 12 {
 		t.Fatalf("12 rungs expected, got %d", len(rungs))
 	}
@@ -103,7 +110,7 @@ func TestLadderMonotoneAndFinalSpeedup(t *testing.T) {
 
 func TestLadderKeyRungs(t *testing.T) {
 	skipIfShort(t)
-	rungs := Ladder()
+	rungs := Ladder(figures)
 	get := func(label string) Rung {
 		for _, r := range rungs {
 			if r.Label == label {
@@ -131,7 +138,7 @@ func TestFigure3SharesShape(t *testing.T) {
 	for _, d := range []int{2, 4, 8} {
 		m := map[string]float64{}
 		var sum float64
-		for _, b := range Figure3(d) {
+		for _, b := range Figure3(figures, d) {
 			m[b.Name] = b.Share
 			sum += b.Share
 		}
@@ -163,7 +170,7 @@ func TestFigure3SharesShape(t *testing.T) {
 
 func TestBaselineDAPSaturates(t *testing.T) {
 	skipIfShort(t)
-	s := BaselineDAPSpeedups()
+	s := BaselineDAPSpeedups(figures)
 	// Paper §3.1: 1.42x, 1.57x, and no gain at DAP-8 over DAP-4.
 	if s[2] < 1.1 || s[2] > 2.1 {
 		t.Fatalf("baseline DAP-2 speedup %v, paper 1.42x", s[2])
@@ -208,7 +215,7 @@ func TestTable1Shape(t *testing.T) {
 
 func TestFigure9Shape(t *testing.T) {
 	skipIfShort(t)
-	bars := Figure9()
+	bars := Figure9(figures)
 	if len(bars) != 3 {
 		t.Fatalf("3 bars expected")
 	}
@@ -228,7 +235,7 @@ func TestFigure9Shape(t *testing.T) {
 
 func TestFigure10Shape(t *testing.T) {
 	skipIfShort(t)
-	rows := Figure10()
+	rows := Figure10(figures)
 	if !(rows[2].Minutes < rows[1].Minutes && rows[1].Minutes < rows[0].Minutes) {
 		t.Fatalf("TTT ordering wrong: %+v", rows)
 	}
@@ -243,7 +250,7 @@ func TestFigure10Shape(t *testing.T) {
 
 func TestFigure11Shape(t *testing.T) {
 	skipIfShort(t)
-	sched, res := Figure11()
+	sched, res := Figure11(figures)
 	if !res.MetInitial {
 		t.Fatal("0.8 must be crossed before step 5000")
 	}
@@ -284,8 +291,8 @@ func TestPrepTimeCurve(t *testing.T) {
 }
 
 func TestStepConfigDeterministic(t *testing.T) {
-	a := Figure7Config("H100", 128, 1).StepSeconds()
-	b := Figure7Config("H100", 128, 1).StepSeconds()
+	a := figures.must(Figure7Config("H100", 128, 1)).MedianStep.Seconds()
+	b := figures.must(Figure7Config("H100", 128, 1)).MedianStep.Seconds()
 	if a != b {
 		t.Fatal("config runs must be reproducible")
 	}

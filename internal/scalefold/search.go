@@ -1,6 +1,7 @@
 package scalefold
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -8,7 +9,6 @@ import (
 	"repro/internal/perturb"
 	"repro/internal/scenario"
 	"repro/internal/search"
-	"repro/internal/store"
 	"repro/internal/sweep"
 )
 
@@ -67,22 +67,12 @@ type SearchSpec struct {
 	// depends on the previous answers), so there is no Workers axis;
 	// SimWorkers shards inside each simulation.
 	SimWorkers int
-	Store      store.Store[cluster.Result]
-	OnStoreErr func(error)
 	Cache      *sweep.Cache[cluster.Result]
-	Metrics    *SweepMetrics
+	Resolver   *Resolver
 	// OnProbe, when non-nil, observes every settled probe with its
 	// resolution source ("analytic", "exact", "memo-hit") and wall-clock
 	// latency — the service's probe stream and metrics hang off it.
 	OnProbe func(p search.Probe, source string, d time.Duration)
-	// OnEstimate observes analytic-estimate latencies, as in SweepSpec.
-	OnEstimate func(time.Duration)
-	// Gate, when non-nil, wraps each cold probe's execution (the service's
-	// shared slot semaphore + cancel drain).
-	Gate func(run func())
-	// Stop, when non-nil, is polled before every probe; true aborts the
-	// search with search.ErrStopped.
-	Stop func() bool
 }
 
 // DefaultSearchSpec is the out-of-the-box search: the optimized profile on
@@ -211,10 +201,10 @@ func (s SearchSpec) Validate() error {
 
 // configFor lowers one probe point to a runnable StepConfig: the optimized
 // Figure 7 configuration at the point, the spec's step count and failure
-// perturbation, normalized and mode-resolved exactly as the sweep layer
-// would — so probe fingerprints, memo entries and store records are shared
-// with equivalent sweep and resilience cells.
-func (s SearchSpec) configFor(pt search.Point) (StepConfig, error) {
+// perturbation, normalized and mode-resolved through r exactly as the sweep
+// layer would — so probe fingerprints, memo entries and store records are
+// shared with equivalent sweep and resilience cells.
+func (s SearchSpec) configFor(r *Resolver, pt search.Point) (StepConfig, error) {
 	cfg := Figure7Config(s.Platform, pt.Ranks, pt.DAP)
 	sc := cfg.Scenario
 	sc.Steps = s.Steps
@@ -226,81 +216,74 @@ func (s SearchSpec) configFor(pt search.Point) (StepConfig, error) {
 	if err != nil {
 		return StepConfig{}, err
 	}
-	n = (SweepSpec{Mode: s.Mode}).resolveMode(n, s.Metrics)
 	return StepConfig{
 		Name:     fmt.Sprintf("search ranks=%d dap=%d fail=%g", pt.Ranks, pt.DAP, pt.FailProb),
-		Scenario: n,
+		Scenario: r.resolveMode(n, s.Mode),
 	}, nil
 }
 
-// Run executes the search and returns its Frontier. Probes resolve through
-// the standard chain — the in-memory memo (Cache; nil selects the
-// process-wide cache), the persistent store (Store; nil falls back to the
-// process-wide attachment), then analytic estimate or exact simulation per
-// the resolved mode — so repeated runs against a warm store probe without
-// simulating, and the Frontier bytes are identical either way.
-func (s SearchSpec) Run() (Frontier, error) {
+// Run is RunContext without cancellation.
+func (s SearchSpec) Run() (Frontier, error) { return s.RunContext(context.Background()) }
+
+// RunContext executes the search and returns its Frontier. Probes resolve
+// through the in-memory memo (Cache; nil gives the search a fresh one),
+// then the Resolver — store, then analytic estimate, remote dispatch or
+// exact simulation per the resolved mode — so repeated runs against a warm
+// store probe without simulating, and the Frontier bytes are identical
+// either way. Once ctx is done the search stops before its next probe, and
+// a probe that was waiting for a compute slot fails with ctx's error.
+func (s SearchSpec) RunContext(ctx context.Context) (Frontier, error) {
 	s = s.WithDefaults()
 	if err := s.Validate(); err != nil {
 		return Frontier{}, err
 	}
-	st, onErr := s.Store, s.OnStoreErr
-	if st == nil {
-		var attachedErr func(error)
-		st, attachedErr = processStore()
-		if onErr == nil {
-			onErr = attachedErr
-		}
+	r := s.Resolver
+	if r == nil {
+		r = &Resolver{}
 	}
 	cache := s.Cache
 	if cache == nil {
-		cache = stepCache
+		cache = sweep.NewCache[cluster.Result]()
 	}
 	// The driver is sequential, so a plain variable carries each probe's
 	// wall-clock latency from Probe to the OnProbe observer.
 	var lastDur time.Duration
 	o := s.options()
-	o.Stop = s.Stop
+	o.Stop = func() bool { return ctx.Err() != nil }
 	o.Probe = func(pt search.Point) (search.Sample, string, error) {
-		cfg, err := s.configFor(pt)
+		cfg, err := s.configFor(r, pt)
 		if err != nil {
 			return search.Sample{}, "", err
 		}
+		key := cfg.Fingerprint()
 		t0 := time.Now()
-		var src string
-		r, cached := cache.Do(cfg.Fingerprint(), func() cluster.Result {
+		var src Source
+		res, cached := cache.Do(key, func() cluster.Result {
 			var res cluster.Result
-			body := func() { res, src = cfg.simulateViaSrcObs(st, onErr, s.Metrics, s.OnEstimate) }
-			if s.Gate != nil {
-				s.Gate(body)
-			} else {
-				body()
-			}
+			res, src, err = r.Resolve(ctx, cfg)
 			return res
 		})
 		lastDur = time.Since(t0)
+		if err != nil {
+			return search.Sample{}, "", err
+		}
+		// Probe sources: a stored or memoized answer is a memo hit, and a
+		// remote probe ran the exact simulator on a fleet worker.
+		source := "exact"
 		switch {
 		case cached:
-			src = "memo-hit"
-			if s.Metrics != nil {
-				s.Metrics.MemoHits.Add(1)
-			}
-		case src == "simulated":
-			src = "exact"
-		case src == "store-hit":
-			src = "memo-hit"
-		}
-		if s.Stop != nil && s.Stop() && r.Goodput == 0 {
-			// The gate drained this probe without running it (cancel won
-			// the race after the budget check): surface the stop rather
-			// than logging a zero sample.
-			return search.Sample{}, src, search.ErrStopped
+			r.memoHit(cfg.Name, key)
+			source = "memo-hit"
+		case src == FromStore:
+			source = "memo-hit"
+		case src == FromEstimate:
+			source = "analytic"
 		}
 		return search.Sample{
-			Goodput:   r.Goodput,
-			MeanStepS: r.MeanStep.Seconds(),
-			P99StepS:  r.P99Step.Seconds(),
-		}, src, nil
+			Goodput:   res.Goodput,
+			MeanStepS: res.MeanStep.Seconds(),
+			P99StepS:  res.P99Step.Seconds(),
+		}, source, nil
 	}
 	if s.OnProbe != nil {
 		o.OnProbe = func(p search.Probe, src string) { s.OnProbe(p, src, lastDur) }

@@ -27,8 +27,8 @@ func tinySearchSpec(st store.Store[cluster.Result]) SearchSpec {
 		Steps:     2,
 		Mode:      "auto",
 		Budget:    64,
-		Store:     st,
 		Cache:     sweep.NewCache[cluster.Result](),
+		Resolver:  &Resolver{Store: st},
 	}
 }
 
@@ -41,9 +41,9 @@ func TestSearchDeterminismAndMemoization(t *testing.T) {
 	run := func() ([]byte, map[string]int, int64) {
 		spec := tinySearchSpec(st)
 		spec.Cache = sweep.NewCache[cluster.Result]() // cold memo: only the store persists
+		spec.Resolver.Metrics = &SweepMetrics{}
 		sources := map[string]int{}
 		spec.OnProbe = func(p search.Probe, src string, d time.Duration) { sources[src]++ }
-		sims0 := Simulations()
 		f, err := spec.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -52,7 +52,7 @@ func TestSearchDeterminismAndMemoization(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b, sources, Simulations() - sims0
+		return b, sources, spec.Resolver.Metrics.Simulated.Load()
 	}
 
 	b1, src1, _ := run()
@@ -116,7 +116,7 @@ func TestSearchSpecValidate(t *testing.T) {
 func TestSearchProbeKeysMatchSweepCells(t *testing.T) {
 	spec := DefaultSearchSpec()
 	spec.Mode = "exact"
-	cfg, err := spec.configFor(search.Point{Ranks: 1024, DAP: 8, FailProb: 1e-4})
+	cfg, err := spec.configFor(&Resolver{}, search.Point{Ranks: 1024, DAP: 8, FailProb: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestSearchLocalizesResilienceCliff(t *testing.T) {
 		t.Skip("1024-rank 24-step probes are seconds each; skipped under -short")
 	}
 	st := store.NewMem[cluster.Result]()
-	spec := func() SearchSpec {
+	spec := func(m *SweepMetrics) SearchSpec {
 		return SearchSpec{
 			Objective:  "maximize-goodput",
 			Platform:   "H100",
@@ -164,17 +164,17 @@ func TestSearchLocalizesResilienceCliff(t *testing.T) {
 			Steps:      24,
 			Mode:       "auto",
 			SimWorkers: runtime.GOMAXPROCS(0),
-			Store:      st,
 			Cache:      sweep.NewCache[cluster.Result](),
+			Resolver:   &Resolver{Store: st, Metrics: m},
 		}
 	}
 
-	sims0 := Simulations()
-	f, err := spec().Run()
+	var met SweepMetrics
+	f, err := spec(&met).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactProbes := Simulations() - sims0
+	exactProbes := met.Simulated.Load()
 
 	c := f.Cliff
 	if c == nil || !c.Found {
@@ -207,9 +207,9 @@ func TestSearchLocalizesResilienceCliff(t *testing.T) {
 		t.Fatal(err)
 	}
 	sources := map[string]int{}
-	sp2 := spec()
+	var met2 SweepMetrics
+	sp2 := spec(&met2)
 	sp2.OnProbe = func(p search.Probe, src string, d time.Duration) { sources[src]++ }
-	sims1 := Simulations()
 	f2, err := sp2.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestSearchLocalizesResilienceCliff(t *testing.T) {
 	if string(b1) != string(b2) {
 		t.Fatalf("repeat frontier differs:\nfirst:  %s\nsecond: %s", b1, b2)
 	}
-	if d := Simulations() - sims1; d != 0 {
+	if d := met2.Simulated.Load(); d != 0 {
 		t.Fatalf("repeat run simulated %d times; want 0", d)
 	}
 	if sources["memo-hit"] != f2.Used || len(sources) != 1 {

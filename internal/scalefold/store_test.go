@@ -2,6 +2,9 @@ package scalefold
 
 import (
 	"bytes"
+	"context"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -29,13 +32,12 @@ func TestStoreBackedMemoEmitsIdenticalBytes(t *testing.T) {
 	// the cold run, for CSV and JSON alike.
 	st := store.NewMem[cluster.Result]()
 	first := tinySpec(nil)
-	first.Store = st
-	first.Metrics = &SweepMetrics{}
+	first.Resolver = &Resolver{Store: st, Metrics: &SweepMetrics{}}
 	firstCSV := sweepCSV(t, first)
-	if n := first.Metrics.StoreHits.Load(); n != 0 {
+	if n := first.Resolver.Metrics.StoreHits.Load(); n != 0 {
 		t.Fatalf("first run hit the empty store %d times", n)
 	}
-	if n := first.Metrics.Simulated.Load(); n != 4 {
+	if n := first.Resolver.Metrics.Simulated.Load(); n != 4 {
 		t.Fatalf("first run simulated %d cells, want 4", n)
 	}
 	if st.Len() != 4 {
@@ -43,13 +45,12 @@ func TestStoreBackedMemoEmitsIdenticalBytes(t *testing.T) {
 	}
 
 	second := tinySpec(nil)
-	second.Store = st
-	second.Metrics = &SweepMetrics{}
+	second.Resolver = &Resolver{Store: st, Metrics: &SweepMetrics{}}
 	secondCSV := sweepCSV(t, second)
-	if n := second.Metrics.Simulated.Load(); n != 0 {
+	if n := second.Resolver.Metrics.Simulated.Load(); n != 0 {
 		t.Fatalf("store-warm run re-simulated %d cells, want 0", n)
 	}
-	if n := second.Metrics.StoreHits.Load(); n != 4 {
+	if n := second.Resolver.Metrics.StoreHits.Load(); n != 4 {
 		t.Fatalf("store-warm run had %d store hits, want 4", n)
 	}
 	if !bytes.Equal(cold, firstCSV) || !bytes.Equal(cold, secondCSV) {
@@ -57,7 +58,7 @@ func TestStoreBackedMemoEmitsIdenticalBytes(t *testing.T) {
 	}
 
 	jsonOf := func(s SweepSpec) []byte {
-		rows, err := s.Run(nil)
+		rows, err := s.Run(t.Context(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +70,7 @@ func TestStoreBackedMemoEmitsIdenticalBytes(t *testing.T) {
 	}
 	coldJSON := jsonOf(tinySpec(nil))
 	warm := tinySpec(nil)
-	warm.Store = st
+	warm.Resolver = &Resolver{Store: st}
 	if !bytes.Equal(coldJSON, jsonOf(warm)) {
 		t.Fatal("store-backed memo must emit byte-identical JSON")
 	}
@@ -82,7 +83,7 @@ func TestStoreSurvivesDiskRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := tinySpec(nil)
-	first.Store = d1
+	first.Resolver = &Resolver{Store: d1}
 	firstCSV := sweepCSV(t, first)
 	if err := d1.Close(); err != nil {
 		t.Fatal(err)
@@ -97,10 +98,9 @@ func TestStoreSurvivesDiskRoundTrip(t *testing.T) {
 	}
 	defer d2.Close()
 	second := tinySpec(nil)
-	second.Store = d2
-	second.Metrics = &SweepMetrics{}
+	second.Resolver = &Resolver{Store: d2, Metrics: &SweepMetrics{}}
 	secondCSV := sweepCSV(t, second)
-	if n := second.Metrics.Simulated.Load(); n != 0 {
+	if n := second.Resolver.Metrics.Simulated.Load(); n != 0 {
 		t.Fatalf("reloaded store must serve every cell, simulated %d", n)
 	}
 	if !bytes.Equal(firstCSV, secondCSV) {
@@ -108,75 +108,47 @@ func TestStoreSurvivesDiskRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAttachStoreDrainsMemo(t *testing.T) {
-	// Results memoized before attachment must be drained into the store via
-	// Cache.Snapshot; results computed after go through write-through.
-	ResetStepCache()
-	defer func() {
-		if err := AttachStore(nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		ResetStepCache()
-	}()
-
-	pre := tinySpec(nil).Grid()
-	points, err := pre.Expand()
-	if err != nil {
-		t.Fatal(err)
+// TestFigureStoreServesASecondResolver pins how figures share work now
+// that no result memo outlives a run: a figure runner on a store-backed
+// Resolver fills the store, and a second Resolver over the same store
+// re-serves every cell without simulating, with identical output. The
+// first pass runs on the figure tests' shared Resolver, so in a full run
+// its cells are already stored by TestBaselineDAPSaturates.
+func TestFigureStoreServesASecondResolver(t *testing.T) {
+	skipIfShort(t)
+	want := BaselineDAPSpeedups(figures)
+	if _, ok := figures.Store.Get(ReferenceConfig("A100", 128).Fingerprint()); !ok {
+		t.Fatal("the figure runner did not fill its Resolver's store")
 	}
-	spec := tinySpec(nil)
-	cfg, err := spec.configFor(points[0])
-	if err != nil {
-		t.Fatal(err)
+	var warm SweepMetrics
+	got := BaselineDAPSpeedups(&Resolver{Store: figures.Store, Metrics: &warm})
+	if n := warm.Simulated.Load(); n != 0 {
+		t.Fatalf("second resolver re-simulated %d cells, want 0", n)
 	}
-	want := cfg.Run() // lands in the process-wide memo only
-
-	st := store.NewMem[cluster.Result]()
-	if err := AttachStore(st, nil); err != nil {
-		t.Fatal(err)
+	if n := warm.StoreHits.Load(); n != 4 {
+		t.Fatalf("second resolver had %d store hits, want 4", n)
 	}
-	if got, ok := st.Get(cfg.Fingerprint()); !ok || got != want {
-		t.Fatalf("attach must drain the memo: %v, %v", got, ok)
-	}
-
-	// Post-attach runs write through: a config not yet simulated appears.
-	cfg2, err := spec.configFor(points[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2 := cfg2.Run()
-	if got, ok := st.Get(cfg2.Fingerprint()); !ok || got != res2 {
-		t.Fatal("post-attach Run must write through to the store")
-	}
-
-	// And a fresh memo (simulating a restart) is served from the store: the
-	// simulation counter must not move.
-	ResetStepCache()
-	before := Simulations()
-	if got := cfg.Run(); got != want {
-		t.Fatal("store-served Run changed the result")
-	}
-	if Simulations() != before {
-		t.Fatal("Run after memo reset must be served from the store, not re-simulated")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("store-served figure differs: %v vs %v", got, want)
 	}
 }
 
 func TestSweepMetricsCountMemoHits(t *testing.T) {
 	cache := sweep.NewCache[cluster.Result]()
 	s := tinySpec(cache)
-	s.Metrics = &SweepMetrics{}
-	if _, err := s.Run(nil); err != nil {
+	s.Resolver = &Resolver{Metrics: &SweepMetrics{}}
+	if _, err := s.Run(t.Context(), nil); err != nil {
 		t.Fatal(err)
 	}
 	s2 := tinySpec(cache)
-	s2.Metrics = &SweepMetrics{}
-	if _, err := s2.Run(nil); err != nil {
+	s2.Resolver = &Resolver{Metrics: &SweepMetrics{}}
+	if _, err := s2.Run(t.Context(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if n := s2.Metrics.MemoHits.Load(); n != 4 {
+	if n := s2.Resolver.Metrics.MemoHits.Load(); n != 4 {
 		t.Fatalf("cache-warm run had %d memo hits, want 4", n)
 	}
-	if n := s2.Metrics.Simulated.Load(); n != 0 {
+	if n := s2.Resolver.Metrics.Simulated.Load(); n != 0 {
 		t.Fatalf("cache-warm run simulated %d cells, want 0", n)
 	}
 }
@@ -194,7 +166,7 @@ func TestSweepOnRowStreamsEveryRow(t *testing.T) {
 		seen[i] = row
 		order = append(order, i)
 	}
-	rows, err := s.Run(nil)
+	rows, err := s.Run(t.Context(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,29 +191,39 @@ func TestSweepOnRowStreamsEveryRow(t *testing.T) {
 	}
 }
 
+// TestSweepGateWrapsColdCellsOnly pins that memo hits never reach the
+// Resolver, so only cold cells take a compute slot or a dispatch. Cells
+// resolve concurrently, hence the atomic counter.
 func TestSweepGateWrapsColdCellsOnly(t *testing.T) {
+	var gated atomic.Int64
+	counting := func() *Resolver {
+		local := &Resolver{}
+		return &Resolver{Remote: func(ctx context.Context, c StepConfig) (cluster.Result, error) {
+			gated.Add(1)
+			res, _, err := local.Resolve(ctx, c)
+			return res, err
+		}}
+	}
 	cache := sweep.NewCache[cluster.Result]()
 	warm := tinySpec(cache)
-	if _, err := warm.Run(nil); err != nil {
+	if _, err := warm.Run(t.Context(), nil); err != nil {
 		t.Fatal(err)
 	}
 	s := tinySpec(cache)
-	gated := 0
-	s.Gate = func(run func()) { gated++; run() }
-	if _, err := s.Run(nil); err != nil {
+	s.Resolver = counting()
+	if _, err := s.Run(t.Context(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if gated != 0 {
-		t.Fatalf("gate ran %d times on a memo-warm sweep, want 0", gated)
+	if n := gated.Load(); n != 0 {
+		t.Fatalf("gate ran %d times on a memo-warm sweep, want 0", n)
 	}
 	cold := tinySpec(nil)
-	gated = 0
-	cold.Gate = func(run func()) { gated++; run() }
-	if _, err := cold.Run(nil); err != nil {
+	cold.Resolver = counting()
+	if _, err := cold.Run(t.Context(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if gated != 4 {
-		t.Fatalf("gate ran %d times on a cold sweep, want 4", gated)
+	if n := gated.Load(); n != 4 {
+		t.Fatalf("gate ran %d times on a cold sweep, want 4", n)
 	}
 }
 
@@ -271,13 +253,12 @@ func TestLegacyKeysAreVersionedOutNotSilentlyMatched(t *testing.T) {
 	}
 	defer d2.Close()
 	spec := tinySpec(nil)
-	spec.Store = d2
-	spec.Metrics = &SweepMetrics{}
+	spec.Resolver = &Resolver{Store: d2, Metrics: &SweepMetrics{}}
 	got := sweepCSV(t, spec)
-	if n := spec.Metrics.StoreHits.Load(); n != 0 {
+	if n := spec.Resolver.Metrics.StoreHits.Load(); n != 0 {
 		t.Fatalf("legacy keys must never satisfy a lookup, got %d store hits", n)
 	}
-	if n := spec.Metrics.Simulated.Load(); n != 4 {
+	if n := spec.Resolver.Metrics.Simulated.Load(); n != 4 {
 		t.Fatalf("every cell must re-simulate past a legacy-only store, simulated %d", n)
 	}
 	if !bytes.Equal(got, sweepCSV(t, tinySpec(nil))) {

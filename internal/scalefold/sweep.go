@@ -1,19 +1,14 @@
 package scalefold
 
 import (
+	"context"
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
-	"time"
 
-	"repro/internal/analytic"
 	"repro/internal/cluster"
-	"repro/internal/obs"
 	"repro/internal/perturb"
 	"repro/internal/scenario"
-	"repro/internal/store"
 	"repro/internal/sweep"
 )
 
@@ -49,7 +44,7 @@ type SweepSpec struct {
 	// skipped row — the submitter named it deliberately). Identity fields
 	// (Steps included) come entirely from each scenario, so its fingerprint
 	// is a function of the descriptor alone; only the execution knobs below
-	// (Workers, Cache, Store, ...) still apply.
+	// (Workers, Cache, Resolver, ...) still apply.
 	Scenarios []scenario.Scenario
 	// Steps overrides the per-simulation step count (0 = simulator default).
 	Steps int
@@ -83,62 +78,21 @@ type SweepSpec struct {
 	// bearing for analytic cells (v5 keys — an estimate must never satisfy
 	// an exact lookup); exact cells keep their v3/v4 keys byte-identical.
 	Mode string
-	// Cache memoizes results across Run calls. nil selects the process-wide
-	// cache shared with the figure runners; benchmarks and determinism
-	// tests pass a fresh one to force cold execution.
+	// Cache memoizes results by fingerprint. nil gives this run a fresh
+	// memo; pass one to share settled cells across runs (cells shared with
+	// other runs otherwise come from the Resolver's store).
 	Cache *sweep.Cache[cluster.Result]
-	// Store, when non-nil, persistently backs the memo for this sweep:
-	// cells are looked up in the store before simulating and written
-	// through after. nil falls back to the process-wide store attached via
-	// AttachStore (which may itself be nil: memory-only).
-	Store store.Store[cluster.Result]
-	// OnStoreErr, when non-nil, receives store write-through errors (the
-	// sweep continues; a failing store degrades to memory-only operation).
-	OnStoreErr func(error)
-	// Metrics, when non-nil, counts how each executed cell was satisfied.
-	Metrics *SweepMetrics
+	// Resolver turns each cell the memo cannot settle into a Result, and
+	// holds the store, counters, tracer, compute slots and remote
+	// dispatcher those resolutions use. nil resolves locally with none of
+	// them.
+	Resolver *Resolver
 	// OnRow, when non-nil, streams rows as they settle: every skipped row
 	// first (in grid order, before execution starts), then each executed
 	// row as its cell completes (completion order; calls are serialized).
-	// The sweep service's NDJSON endpoint hangs off this hook.
+	// No row streams once a cell has failed. The sweep service's NDJSON
+	// endpoint hangs off this hook.
 	OnRow func(i int, row SweepRow)
-	// Gate, when non-nil, wraps the execution of each cold cell. The sweep
-	// service uses it to bound total simulation concurrency across
-	// concurrent jobs with one server-wide semaphore — and to drain
-	// cancelled jobs quickly by skipping the run (the cell then reports a
-	// zero Result, which is never persisted).
-	Gate func(run func())
-	// Runner, when non-nil, replaces local simulation for cells the store
-	// cannot satisfy: the fabric coordinator dispatches each such cell to a
-	// registered worker and returns its result (byte-identical to a local
-	// run — results round-trip losslessly). The memo cache and the store
-	// fast path still apply in front of it. A Runner error (worker fleet
-	// lost the cell beyond the retry budget, or dispatch was cancelled)
-	// fails the whole sweep: Run returns the first one after the engine
-	// drains, with the affected rows carrying zero Results.
-	Runner func(c StepConfig) (cluster.Result, error)
-	// OnEstimate, when non-nil, observes the latency of every analytic
-	// estimate this sweep computes (store hits excluded). The sweep service
-	// feeds its estimate-latency histogram with it.
-	OnEstimate func(time.Duration)
-	// Trace, when non-nil, records one cat="cell" lifecycle span per settled
-	// cell: locally resolved cells (store hit or simulation) land on a
-	// "local-N" engine-slot lane, memo-settled cells on the "memo" lane.
-	// Cells the Runner resolves are NOT spanned here — the Runner's owner
-	// (the fabric layer) records them with true worker attribution, so every
-	// cell appears exactly once whoever executed it.
-	Trace *obs.Tracer
-}
-
-// SweepMetrics counts how the cells of a Run were satisfied. All fields are
-// safe to read concurrently while the sweep runs.
-type SweepMetrics struct {
-	Simulated atomic.Int64 // ran the exact simulator
-	StoreHits atomic.Int64 // served from the persistent store
-	MemoHits  atomic.Int64 // settled by the in-memory memo (incl. singleflight waits)
-	Remote    atomic.Int64 // dispatched to a fabric worker (SweepSpec.Runner)
-	Analytic  atomic.Int64 // served by the closed-form estimator (package analytic)
-	Escalated atomic.Int64 // auto-mode cells whose bounds forced exact simulation
 }
 
 // DefaultSweepSpec is the out-of-the-box exploration grid: the optimized
@@ -226,53 +180,6 @@ func (s SweepSpec) configFor(p sweep.Point) (StepConfig, error) {
 		return StepConfig{}, err
 	}
 	return c, nil
-}
-
-// resolveMode stamps the spec-level mode on a lowered scenario (a scenario's
-// own non-empty mode wins, mirroring how its perturb block outranks the
-// spec's) and resolves auto mode to its concrete per-cell resolution, counting
-// escalations on m. Auto resolves here, at lowering time, so the cells the
-// engine sees are plain analytic or exact cells — same fingerprints, memo
-// entries and store records as an explicitly-moded sweep would produce.
-func (s SweepSpec) resolveMode(n scenario.Scenario, m *SweepMetrics) scenario.Scenario {
-	if n.Mode == "" && s.Mode != "" && s.Mode != scenario.ModeExact {
-		n.Mode = s.Mode
-	}
-	if n.Mode == scenario.ModeAuto {
-		mode, escalated := resolveAuto(n)
-		n.Mode = mode
-		if escalated && m != nil {
-			m.Escalated.Add(1)
-		}
-	}
-	return n
-}
-
-// resolveAuto picks an auto-mode scenario's concrete resolution: analytic
-// when the estimate's bounds are actionable under analytic.DefaultPolicy,
-// exact when they straddle a decision boundary (or the estimator failed —
-// the simulator is the safe fallback). Deterministic: the estimator is a
-// pure function of the scenario, so the same sweep escalates the same cells
-// on every run, every machine and every worker count.
-func resolveAuto(n scenario.Scenario) (mode string, escalated bool) {
-	_, b, err := analytic.Estimate(n)
-	if err != nil || analytic.ShouldEscalate(b) {
-		return "", true
-	}
-	return scenario.ModeAnalytic, false
-}
-
-// ResolveAuto resolves an auto-mode configuration to the concrete cell the
-// sweep would run: Mode "analytic" when the estimate's bounds are actionable,
-// "" (exact) when they force escalation, reported by the second result.
-// Non-auto configurations return unchanged.
-func (c StepConfig) ResolveAuto() (StepConfig, bool) {
-	if c.Mode != scenario.ModeAuto {
-		return c, false
-	}
-	mode, escalated := resolveAuto(c.Scenario)
-	c.Mode = mode
-	return c, escalated
 }
 
 // scenarioPoint synthesizes the canonical axis coordinates of an explicit
@@ -368,12 +275,18 @@ func (s SweepSpec) Cells() int {
 }
 
 // Run lowers the spec to cells — one per explicit scenario, or one per grid
-// point — executes the feasible ones on the engine and returns one row per
+// point — resolves the feasible ones on the engine and returns one row per
 // cell, in declaration order. onProgress (optional) streams completion
-// events.
-func (s SweepSpec) Run(onProgress func(sweep.Progress)) ([]SweepRow, error) {
+// events. Once ctx is done, cells not yet started fail fast; Run returns the
+// first cell error after the engine drains, with the failed rows carrying
+// zero Results.
+func (s SweepSpec) Run(ctx context.Context, onProgress func(sweep.Progress)) ([]SweepRow, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
+	}
+	r := s.Resolver
+	if r == nil {
+		r = &Resolver{}
 	}
 	var rows []SweepRow
 	var cells []sweep.Cell[StepConfig]
@@ -399,7 +312,7 @@ func (s SweepSpec) Run(onProgress func(sweep.Progress)) ([]SweepRow, error) {
 					return nil, fmt.Errorf("sweep: scenarios[%d]: %w", i, err)
 				}
 			}
-			n = s.resolveMode(n, s.Metrics)
+			n = r.resolveMode(n, s.Mode)
 			p := scenarioPoint(n)
 			c := StepConfig{Name: p.Fingerprint(), Scenario: n}
 			rows[i].Point = p
@@ -420,7 +333,7 @@ func (s SweepSpec) Run(onProgress func(sweep.Progress)) ([]SweepRow, error) {
 				rows[i].SkipReason = err.Error()
 				continue
 			}
-			c.Scenario = s.resolveMode(c.Scenario, s.Metrics)
+			c.Scenario = r.resolveMode(c.Scenario, s.Mode)
 			rows[i].Config = c
 			cells = append(cells, sweep.Cell[StepConfig]{Key: c.Fingerprint(), Label: p.Fingerprint(), Config: c})
 			cellRow = append(cellRow, i)
@@ -433,133 +346,45 @@ func (s SweepSpec) Run(onProgress func(sweep.Progress)) ([]SweepRow, error) {
 			}
 		}
 	}
-	st, onErr := s.Store, s.OnStoreErr
-	if st == nil {
-		var attachedErr func(error)
-		st, attachedErr = processStore()
-		if onErr == nil {
-			onErr = attachedErr
-		}
-	}
-	var runnerMu sync.Mutex
-	var runnerErr error
-	// bodySrc resolves one cold cell and reports how: "store-hit",
-	// "simulated", "remote" (Runner-resolved; spanned by the Runner's owner)
-	// or "error" (Runner failure; no span).
-	bodySrc := func(c StepConfig) (cluster.Result, string) {
-		return c.simulateViaSrcObs(st, onErr, s.Metrics, s.OnEstimate)
-	}
-	if s.Runner != nil {
-		bodySrc = func(c StepConfig) (cluster.Result, string) {
-			if c.Mode == scenario.ModeAnalytic {
-				// Analytic cells never travel: the estimate costs microseconds
-				// — less than the dispatch round-trip — so they resolve on the
-				// coordinator (store fast path included) and the fleet only
-				// sees cells that need real simulation.
-				return c.estimateViaSrc(st, onErr, s.Metrics, s.OnEstimate)
-			}
-			if st != nil {
-				if r, ok := st.Get(c.Fingerprint()); ok && r.Goodput > 0 {
-					if s.Metrics != nil {
-						s.Metrics.StoreHits.Add(1)
-					}
-					return r, "store-hit"
-				}
-			}
-			r, err := s.Runner(c)
-			if err != nil {
-				runnerMu.Lock()
-				if runnerErr == nil {
-					runnerErr = err
-				}
-				runnerMu.Unlock()
-				return cluster.Result{}, "error"
-			}
-			if s.Metrics != nil {
-				s.Metrics.Remote.Add(1)
-			}
-			return r, "remote"
-		}
-	}
-	body := func(c StepConfig) cluster.Result {
-		r, _ := bodySrc(c)
-		return r
-	}
-	if s.Trace != nil {
-		// One trace lane per engine worker slot, recycled through a
-		// free-list so concurrent cells never share a lane. The lane name
-		// doubles as the owner attribution for locally resolved cells.
-		nlanes := s.Workers
-		if nlanes <= 0 {
-			nlanes = runtime.GOMAXPROCS(0)
-		}
-		lanes := make(chan int, nlanes)
-		for i := 0; i < nlanes; i++ {
-			lanes <- i
-		}
-		body = func(c StepConfig) cluster.Result {
-			lane := <-lanes
-			t0 := time.Now()
-			r, src := bodySrc(c)
-			end := time.Now()
-			lanes <- lane
-			if src == "store-hit" || src == "simulated" || src == "analytic" {
-				owner := "local-" + strconv.Itoa(lane)
-				s.Trace.Span(owner, c.Name, "cell", t0, end, map[string]string{
-					"owner": owner, "source": src, "key": c.Fingerprint(),
-				})
-			}
-			return r
-		}
-	}
+	var errMu sync.Mutex
+	var firstErr error
 	run := func(c StepConfig) cluster.Result {
-		if s.Gate == nil {
-			return body(c)
+		res, _, err := r.Resolve(ctx, c)
+		if err != nil {
+			errMu.Lock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			errMu.Unlock()
 		}
-		var r cluster.Result
-		s.Gate(func() { r = body(c) })
-		return r
+		return res
 	}
 	cache := s.Cache
 	if cache == nil {
-		cache = stepCache
-	}
-	var onResult func(int, cluster.Result, bool)
-	if s.OnRow != nil || s.Metrics != nil || s.Trace != nil {
-		onResult = func(ci int, r cluster.Result, cached bool) {
-			if cached {
-				if s.Metrics != nil {
-					s.Metrics.MemoHits.Add(1)
-				}
-				// Memo-settled cells never touched bodySrc: record their
-				// zero-duration span here so trace coverage stays exactly
-				// one span per cell.
-				now := time.Now()
-				s.Trace.Span("memo", cells[ci].Label, "cell", now, now, map[string]string{
-					"owner": "memo", "source": "memo", "key": cells[ci].Key,
-				})
-			}
-			if s.OnRow != nil {
-				ri := cellRow[ci]
-				rows[ri].Res = r
-				s.OnRow(ri, rows[ri])
-			}
-		}
+		cache = sweep.NewCache[cluster.Result]()
 	}
 	eng := sweep.Engine[StepConfig, cluster.Result]{
 		Workers:    s.Workers,
 		Cache:      cache,
 		OnProgress: onProgress,
-		OnResult:   onResult,
+		OnResult: func(ci int, res cluster.Result, cached bool) {
+			if cached {
+				r.memoHit(cells[ci].Label, cells[ci].Key)
+			}
+			errMu.Lock()
+			failed := firstErr != nil
+			errMu.Unlock()
+			if s.OnRow != nil && !failed {
+				ri := cellRow[ci]
+				rows[ri].Res = res
+				s.OnRow(ri, rows[ri])
+			}
+		},
 	}
-	results := eng.Run(cells, run)
-	for i, r := range results {
-		rows[cellRow[i]].Res = r
+	for i, res := range eng.Run(cells, run) {
+		rows[cellRow[i]].Res = res
 	}
-	if runnerErr != nil {
-		return rows, runnerErr
-	}
-	return rows, nil
+	return rows, firstErr
 }
 
 // SweepTable formats executed rows as the canonical result table: the axis

@@ -13,23 +13,20 @@ import (
 
 // testSpec is a small-but-real sweep: 24 cells at tiny rank counts so the
 // determinism and memoization properties are checked against the actual
-// simulator, not a stub. A fresh cache per spec forces cold execution (nil
-// would select the process-wide cache shared with the figure runners).
+// simulator, not a stub. A nil cache gives each run a fresh memo, forcing
+// cold execution.
 func testSpec(workers int, cache *sweep.Cache[cluster.Result]) SweepSpec {
 	s := DefaultSweepSpec()
 	s.Ranks = []int{32}
 	s.Steps = 2
 	s.Workers = workers
 	s.Cache = cache
-	if cache == nil {
-		s.Cache = sweep.NewCache[cluster.Result]()
-	}
 	return s
 }
 
 func sweepCSV(t *testing.T, s SweepSpec) []byte {
 	t.Helper()
-	rows, err := s.Run(nil)
+	rows, err := s.Run(t.Context(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +106,7 @@ func TestSweepSkipsInfeasibleCells(t *testing.T) {
 	s := testSpec(2, nil)
 	s.Ranks = []int{30} // not divisible by DAP 4 or 8
 	s.Ablations = []string{"none"}
-	rows, err := s.Run(nil)
+	rows, err := s.Run(t.Context(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +135,7 @@ func TestSweepSeedDerivationDistinctPerReplica(t *testing.T) {
 	s.DAPs = []int{2}
 	s.Ablations = []string{"none"}
 	s.Seeds = 3
-	rows, err := s.Run(nil)
+	rows, err := s.Run(t.Context(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +158,14 @@ func TestSweepRejectsBadAxes(t *testing.T) {
 	} {
 		s := testSpec(1, nil)
 		mut(&s)
-		if _, err := s.Run(nil); err == nil {
+		if _, err := s.Run(t.Context(), nil); err == nil {
 			t.Fatalf("spec-wide mistake must error, got nil (%+v)", s)
 		}
 	}
 	// Negative seed counts degrade to the empty-axis error, not a panic.
 	s := testSpec(1, nil)
 	s.Seeds = -1
-	if _, err := s.Run(nil); err == nil {
+	if _, err := s.Run(t.Context(), nil); err == nil {
 		t.Fatal("negative -seeds must error")
 	}
 }
@@ -226,7 +223,7 @@ func TestSweepExplicitScenarios(t *testing.T) {
 	if s.Cells() != 2 {
 		t.Fatalf("Cells() = %d, want 2", s.Cells())
 	}
-	rows, err := s.Run(nil)
+	rows, err := s.Run(t.Context(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +250,8 @@ func TestSweepExplicitScenarios(t *testing.T) {
 	grid.Ablations = []string{"none"}
 	grid.Steps = 2
 	st := store.NewMem[cluster.Result]()
-	grid.Store = st
-	if _, err := grid.Run(nil); err != nil {
+	grid.Resolver = &Resolver{Store: st}
+	if _, err := grid.Run(t.Context(), nil); err != nil {
 		t.Fatal(err)
 	}
 	gridSeed := sweep.SeedFor(1, "arch=H100,ranks=32,dap=2,ablate=none,seed=1")
@@ -264,16 +261,15 @@ func TestSweepExplicitScenarios(t *testing.T) {
 	expSpec := SweepSpec{
 		Scenarios: []scenario.Scenario{exp},
 		Cache:     sweep.NewCache[cluster.Result](),
-		Store:     st,
-		Metrics:   &SweepMetrics{},
+		Resolver:  &Resolver{Store: st, Metrics: &SweepMetrics{}},
 	}
-	if _, err := expSpec.Run(nil); err != nil {
+	if _, err := expSpec.Run(t.Context(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if n := expSpec.Metrics.Simulated.Load(); n != 0 {
+	if n := expSpec.Resolver.Metrics.Simulated.Load(); n != 0 {
 		t.Fatalf("explicit scenario equal to a stored grid cell re-simulated %d times", n)
 	}
-	if n := expSpec.Metrics.StoreHits.Load(); n != 1 {
+	if n := expSpec.Resolver.Metrics.StoreHits.Load(); n != 1 {
 		t.Fatalf("want 1 store hit, got %d", n)
 	}
 }
@@ -281,7 +277,7 @@ func TestSweepExplicitScenarios(t *testing.T) {
 func TestSweepRejectsInvalidExplicitScenario(t *testing.T) {
 	bad := Figure7Config("H100", 30, 4).Scenario // 30 ranks can't host DAP-4
 	s := SweepSpec{Scenarios: []scenario.Scenario{bad}}
-	if _, err := s.Run(nil); err == nil {
+	if _, err := s.Run(t.Context(), nil); err == nil {
 		t.Fatal("invalid explicit scenario must be an error, not a skipped row")
 	}
 	if err := s.Validate(); err == nil {

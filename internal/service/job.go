@@ -1,9 +1,9 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -23,21 +23,19 @@ type job struct {
 	cells   int
 	created time.Time
 
-	metrics   scalefold.SweepMetrics
-	cancelled atomic.Bool
+	metrics scalefold.SweepMetrics
+	// ctx is done once the job is cancelled (or the server closes): every
+	// cell still waiting for a compute slot or a remote worker gives up.
+	ctx       context.Context
+	cancelCtx context.CancelFunc
 
-	// trace records one lifecycle span per settled cell (local, memo or
-	// remote lanes), served by GET /v1/jobs/{id}/trace. Created at Submit;
-	// immutable pointer, internally synchronized.
+	// trace records one lifecycle span per settled cell or probe (local,
+	// memo or remote lanes), served by GET /v1/jobs/{id}/trace. Created at
+	// Submit; immutable pointer, internally synchronized.
 	trace *obs.Tracer
 	// onState, when set, observes every lifecycle transition (the server's
 	// gauge bookkeeping). Called under j.mu; must not block.
 	onState func(from, to string)
-
-	// stop, when set (by runJob, before dispatch starts), is fired on cancel
-	// to abort remote waits — cells parked in fabric Execute calls — that the
-	// drain gate alone cannot unblock. Guarded by mu; fired outside it.
-	stop atomic.Pointer[func()]
 
 	mu       sync.Mutex
 	state    string
@@ -47,8 +45,11 @@ type job struct {
 	storeErr string
 	rows     int // settled rows streamed so far (executed + skipped)
 	skipped  int
-	// Search-job progress: probes settled, Pareto-frontier size once done.
+	// Search-job progress: probes settled, the frontier a finished search
+	// found (streamed by finalize, just before the DoneEvent) and its
+	// Pareto size.
 	probes       int
+	frontier     *scalefold.Frontier
 	frontierSize int
 	events       [][]byte      // marshaled NDJSON lines, append-only
 	notify       chan struct{} // closed and replaced on every append/state change
@@ -76,16 +77,14 @@ func (j *job) start() {
 	j.mu.Unlock()
 }
 
-// cancel marks the job cancelled. A job still sitting in the queue settles
+// cancel cancels the job. A job still sitting in the queue settles
 // immediately — its status flips to cancelled and its stream ends now, not
-// when a scheduler worker eventually dequeues it. A running job drains
-// through the gates and is finalized by runJob; finalize is idempotent, so
-// the scheduler's later pass over an already-settled queued job is a no-op.
+// when a scheduler worker eventually dequeues it. A running job's cells see
+// its ctx done and drain, and runKind finalizes it; finalize is idempotent,
+// so the scheduler's later pass over an already-settled queued job is a
+// no-op.
 func (j *job) cancel() {
-	j.cancelled.Store(true)
-	if stop := j.stop.Load(); stop != nil {
-		(*stop)()
-	}
+	j.cancelCtx()
 	j.mu.Lock()
 	if j.state == StateQueued {
 		j.finalizeLocked(StateCancelled, nil)
@@ -104,8 +103,8 @@ func (j *job) noteStoreErr(err error) {
 // CSV/JSON emitters would print for that cell, however it was satisfied) and
 // appends it to the event log.
 func (j *job) streamRow(i int, row scalefold.SweepRow) {
-	if j.cancelled.Load() {
-		return // drained cells carry zero results; don't stream them
+	if j.ctx.Err() != nil {
+		return // a cancelled job streams no more rows
 	}
 	tab := scalefold.SweepTable([]scalefold.SweepRow{row})
 	data := make(map[string]string, len(tab.Header))
@@ -147,6 +146,11 @@ func (j *job) finalizeLocked(state string, err error) {
 	}
 	if err != nil {
 		j.err = err.Error()
+	}
+	if state == StateDone && j.frontier != nil {
+		line, _ := json.Marshal(FrontierEvent{Type: "frontier", Frontier: *j.frontier})
+		j.frontierSize = len(j.frontier.Pareto)
+		j.events = append(j.events, append(line, '\n'))
 	}
 	done := DoneEvent{
 		Type: "done", State: state, Rows: j.rows, Skipped: j.skipped,

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"regexp"
 	"strings"
@@ -144,6 +146,63 @@ func TestTraceEndpoint(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != 404 {
 			t.Fatalf("trace of unknown job: HTTP %d, want 404", resp.StatusCode)
+		}
+	}
+}
+
+// TestTraceEndpointSearchJob extends the trace contract to search jobs: a
+// finished search's trace holds exactly one cat="cell" span per settled
+// probe, on local lanes (or the memo lane for a probe its memo settled),
+// attributed and keyed like sweep cells.
+func TestTraceEndpointSearchJob(t *testing.T) {
+	_, c, stop := newTestServer(t, Config{Workers: 1})
+	defer stop()
+	st, err := c.SubmitSearch(tinySearch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := map[string]int{} // probe display name → settled count
+	frontier, done, err := c.SearchStream(st.ID, func(ev ProbeEvent) error {
+		probes[fmt.Sprintf("search ranks=%d dap=%d fail=%g", ev.Ranks, ev.DAP, ev.FailProb)]++
+		return nil
+	})
+	if err != nil || done.State != StateDone || frontier == nil {
+		t.Fatalf("search: %+v, %v", done, err)
+	}
+	var buf bytes.Buffer
+	if err := c.Trace(st.ID, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []obs.TraceEvent
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]int{}
+	n := 0
+	for _, ev := range events {
+		if ev.Ph != "X" {
+			continue
+		}
+		n++
+		owner, src := ev.Args["owner"], ev.Args["source"]
+		switch {
+		case ev.Cat != "cell":
+			t.Fatalf("unexpected span category %q: %+v", ev.Cat, ev)
+		case owner == "memo" && src != "memo":
+			t.Fatalf("memo-lane span sourced from %q: %+v", src, ev)
+		case owner != "memo" && !strings.HasPrefix(owner, "local-"):
+			t.Fatalf("local search span owned by %q, want local-N or memo: %+v", owner, ev)
+		case ev.Args["key"] == "":
+			t.Fatalf("span carries no key: %+v", ev)
+		}
+		spans[ev.Name]++
+	}
+	if n != done.Rows || n == 0 {
+		t.Fatalf("trace holds %d spans for %d settled probes", n, done.Rows)
+	}
+	for name, k := range probes {
+		if spans[name] != k {
+			t.Fatalf("probe %q settled %d times but spanned %d times", name, k, spans[name])
 		}
 	}
 }

@@ -82,7 +82,7 @@ func TestScenarioJobsRunAndMatchGridCells(t *testing.T) {
 
 // TestSimWorkersJobIsClampedAndByteIdentical pins the server-side contract
 // of the sim_workers execution knob: an absurd width cannot multiply the
-// server's compute concurrency past its pool (the clamp in runJob), and the
+// server's compute concurrency past its pool (the clamp in runSweep), and the
 // rows stream byte-identical to a serial job — SimWorkers is excluded from
 // the fingerprint, so both jobs resolve to the same store records.
 func TestSimWorkersJobIsClampedAndByteIdentical(t *testing.T) {

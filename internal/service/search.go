@@ -1,13 +1,12 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/scalefold"
 	"repro/internal/search"
-	"repro/internal/sweep"
 )
 
 // SearchJobSpec is the wire form of an adaptive-search job, JSON-encoded for
@@ -45,7 +44,7 @@ type SearchJobSpec struct {
 }
 
 // searchSpec lowers the wire spec to an executable one (the server fills
-// cache, store, metrics and scheduling hooks).
+// its Resolver and probe hook).
 func (js SearchJobSpec) searchSpec() scalefold.SearchSpec {
 	return scalefold.SearchSpec{
 		Objective:    js.Objective,
@@ -105,42 +104,17 @@ func (s *Server) SubmitSearch(spec SearchJobSpec) (JobStatus, error) {
 	return st, nil
 }
 
-// runSearchJob executes one search job. Probes resolve through the job-local
-// memo, the server's persistent store, then analytic estimation or exact
-// simulation (gated on the shared slot pool) — identical layering to sweep
-// cells, under identical fingerprints, so searches and sweeps share every
-// record. The final switch mirrors runJob: cancellation wins over failure
-// (a cancelled search surfaces search.ErrStopped from the driver, but the
-// user asked for cancel).
-func (s *Server) runSearchJob(j *job) {
-	if j.cancelled.Load() {
-		j.finalize(StateCancelled, nil)
-		return
-	}
-	j.start()
+// runSearch is a search job's body. Probes resolve through a job-local memo,
+// then r — identical layering to sweep cells, under identical fingerprints,
+// so searches and sweeps share every record. Probes run one at a time, so
+// intra-probe shards are the only parallelism a search has: each probe gets
+// the whole pool unless the spec narrows it. A finished search's frontier
+// streams when runKind finalizes the job as done.
+func (s *Server) runSearch(ctx context.Context, j *job, r *scalefold.Resolver) error {
 	ss := j.search.searchSpec()
-	ss.Cache = sweep.NewCache[cluster.Result]()
-	ss.Store = s.st
-	ss.OnStoreErr = j.noteStoreErr
-	ss.Metrics = &j.metrics
-	ss.OnEstimate = func(d time.Duration) { s.met.estimateHist.Observe(d.Seconds()) }
-	ss.Stop = j.cancelled.Load
-	// Probes run one at a time, so intra-probe shards are the only
-	// parallelism this job has: give each probe the whole pool unless the
-	// spec narrows it.
+	ss.Resolver = r
 	if ss.SimWorkers <= 0 || ss.SimWorkers > s.cfg.Workers {
 		ss.SimWorkers = s.cfg.Workers
-	}
-	ss.Gate = func(run func()) {
-		if j.cancelled.Load() {
-			return // drain: the probe surfaces ErrStopped, nothing persists
-		}
-		s.slots <- struct{}{}
-		defer func() { <-s.slots }()
-		if j.cancelled.Load() {
-			return
-		}
-		run()
 	}
 	ss.OnProbe = func(p search.Probe, src string, d time.Duration) {
 		if c := s.met.searchProbes[src]; c != nil {
@@ -149,32 +123,20 @@ func (s *Server) runSearchJob(j *job) {
 		s.met.probeHist.Observe(d.Seconds())
 		j.streamProbe(p, src)
 	}
-	f, err := ss.Run()
-	s.met.analyticCells.Add(j.metrics.Analytic.Load())
-	s.met.exactCells.Add(j.metrics.Simulated.Load())
-	s.met.escalations.Add(j.metrics.Escalated.Load())
-	switch {
-	case j.cancelled.Load():
-		j.finalize(StateCancelled, nil)
-		s.log.Info("search cancelled", "job", j.id)
-	case err != nil:
-		j.finalize(StateFailed, err)
-		s.log.Error("search failed", "job", j.id, "err", err)
-	default:
-		j.noteFrontier(f)
-		s.met.frontierSize.Set(int64(len(f.Pareto)))
-		j.finalize(StateDone, nil)
-		s.log.Info("search done", "job", j.id,
-			"probes", f.Used, "frontier", len(f.Pareto),
-			"simulated", j.metrics.Simulated.Load(),
-			"analytic", j.metrics.Analytic.Load(),
-			"memo_hits", j.metrics.MemoHits.Load())
+	f, err := ss.RunContext(ctx)
+	if err != nil {
+		return err
 	}
+	s.met.frontierSize.Set(int64(len(f.Pareto)))
+	j.mu.Lock()
+	j.frontier = &f
+	j.mu.Unlock()
+	return nil
 }
 
 // streamProbe appends a settled probe to the job's event log.
 func (j *job) streamProbe(p search.Probe, src string) {
-	if j.cancelled.Load() {
+	if j.ctx.Err() != nil {
 		return
 	}
 	ev := ProbeEvent{
@@ -190,20 +152,6 @@ func (j *job) streamProbe(p search.Probe, src string) {
 	j.mu.Lock()
 	j.rows++
 	j.probes++
-	j.events = append(j.events, append(line, '\n'))
-	j.wakeLocked()
-	j.mu.Unlock()
-}
-
-// noteFrontier records the finished search's report and appends the
-// FrontierEvent streaming clients consume before the DoneEvent.
-func (j *job) noteFrontier(f scalefold.Frontier) {
-	line, err := json.Marshal(FrontierEvent{Type: "frontier", Frontier: f})
-	if err != nil {
-		return
-	}
-	j.mu.Lock()
-	j.frontierSize = len(f.Pareto)
 	j.events = append(j.events, append(line, '\n'))
 	j.wakeLocked()
 	j.mu.Unlock()

@@ -34,7 +34,6 @@ import (
 	"repro/internal/scalefold"
 	"repro/internal/scenario"
 	"repro/internal/store"
-	"repro/internal/sweep"
 )
 
 // Config sizes the server.
@@ -280,11 +279,11 @@ func New(cfg Config) (*Server, error) {
 		go func() {
 			defer s.wg.Done()
 			for j := range s.queue {
+				run := s.runSweep
 				if j.kind == KindSearch {
-					s.runSearchJob(j)
-				} else {
-					s.runJob(j)
+					run = s.runSearch
 				}
+				s.runKind(j, func(ctx context.Context, r *scalefold.Resolver) error { return run(ctx, j, r) })
 			}
 		}()
 	}
@@ -354,6 +353,7 @@ func (s *Server) enqueue(j *job) (JobStatus, error) {
 	j.state = StateQueued
 	j.created = time.Now()
 	j.notify = make(chan struct{})
+	j.ctx, j.cancelCtx = context.WithCancel(context.Background())
 	j.trace = obs.NewTracer()
 	j.onState = s.met.jobState
 	// Count the job queued before it is visible to a scheduler: start() fires
@@ -456,7 +456,7 @@ func (s *Server) Cancel(id string) (JobStatus, bool) {
 
 // StoreStatus reports the persistent store's state.
 func (s *Server) StoreStatus() StoreStatus {
-	st := StoreStatus{Keys: s.st.Len(), LegacyKeys: s.legacy, Simulations: scalefold.Simulations()}
+	st := StoreStatus{Keys: s.st.Len(), LegacyKeys: s.legacy, Simulations: s.met.exactCells.Value()}
 	if lg, ok := s.st.(interface{ Legacy() int }); ok {
 		st.LegacyKeys = lg.Legacy() // live count: compaction sheds legacy keys
 	}
@@ -490,54 +490,40 @@ func (s *Server) CompactStore() (store.CompactStats, bool, error) {
 	return st, true, nil
 }
 
-// runJob executes one job on the shared pool. Cells resolve through three
-// layers: the job-local memo (singleflight within the job), the server's
-// persistent store (shared across jobs and restarts), and only then the
-// simulator — gated by the server-wide slot semaphore so concurrent jobs
-// cannot oversubscribe the machine.
-func (s *Server) runJob(j *job) {
-	if j.cancelled.Load() {
+// runKind is the one job lifecycle, shared by sweep and search jobs: it
+// settles a job cancelled while queued, starts it, wires the job's Resolver
+// to the server — its store, and either the shared compute slots or, in
+// coordinator mode, the worker fleet — runs the kind's body, folds the job's
+// resolution counts into the server-lifetime series and finalizes it.
+// Cancellation wins over failure: a cancelled job's cells fail with its ctx
+// error, but the user asked for cancel.
+func (s *Server) runKind(j *job, run func(context.Context, *scalefold.Resolver) error) {
+	if j.ctx.Err() != nil {
 		j.finalize(StateCancelled, nil)
 		return
 	}
 	j.start()
-	sw := j.spec.sweepSpec()
-	sw.Cache = sweep.NewCache[cluster.Result]()
-	sw.Store = s.st
-	sw.OnStoreErr = j.noteStoreErr
-	sw.Metrics = &j.metrics
-	sw.Trace = j.trace
-	sw.Workers = j.spec.Workers
-	sw.OnEstimate = func(d time.Duration) { s.met.estimateHist.Observe(d.Seconds()) }
-	if s.coord != nil {
-		// Coordinator mode: store-miss cells are dispatched to the fleet, so
-		// engine "workers" are dispatch waiters, not simulations — size them
-		// to the grid (capped), never to this machine's core count, or a
-		// single-core coordinator would serialize the whole fleet. The slot
-		// semaphore and the SimWorkers clamp guard local compute; neither
-		// applies when the compute happens elsewhere.
-		if sw.Workers <= 0 {
-			sw.Workers = min(j.cells, 64)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		stop := func() { cancel() }
-		j.stop.Store(&stop)
-		defer j.stop.Store(nil)
-		if j.cancelled.Load() {
-			cancel() // cancelled between the queued check and hook install
-		}
-		sw.Runner = func(c scalefold.StepConfig) (cluster.Result, error) {
+	r := &scalefold.Resolver{
+		Store:      s.st,
+		OnStoreErr: j.noteStoreErr,
+		Metrics:    &j.metrics,
+		OnEstimate: func(d time.Duration) { s.met.estimateHist.Observe(d.Seconds()) },
+		Trace:      j.trace,
+	}
+	if s.coord == nil {
+		r.Slots = s.slots
+	} else {
+		// Coordinator mode: exact cells the store cannot satisfy go to the
+		// fleet. The Resolver leaves remote cells unspanned (see
+		// Resolver.Trace); record them here with the coordinator's true
+		// attribution — the settling worker's ID (or "coordinator" for its
+		// store fast path) and the worker-side claim→settle window — so
+		// every cell appears in the job trace exactly once whoever ran it.
+		r.Remote = func(ctx context.Context, c scalefold.StepConfig) (cluster.Result, error) {
 			res, rep, err := s.coord.ExecuteReport(ctx, c)
 			if err != nil {
 				return res, err
 			}
-			// The sweep layer deliberately leaves Runner-resolved cells
-			// unspanned (see SweepSpec.Trace): record them here with the
-			// coordinator's true attribution — the settling worker's ID (or
-			// "coordinator" for its store fast path) and the worker-side
-			// claim→settle execution window — so every cell appears in the
-			// job trace exactly once whoever executed it.
 			start, end := rep.Claimed, rep.Settled
 			if start.IsZero() {
 				start = end
@@ -547,17 +533,55 @@ func (s *Server) runJob(j *job) {
 			})
 			return res, nil
 		}
-		sw.Gate = func(run func()) {
-			if j.cancelled.Load() {
-				return // drain: cell settles as a zero row, never persisted
-			}
-			run()
+	}
+	err := run(j.ctx, r)
+	// Fold the job's resolution counts into the server-lifetime series —
+	// whatever terminal state the job reached, these count work that
+	// actually happened.
+	s.met.analyticCells.Add(j.metrics.Analytic.Load())
+	s.met.exactCells.Add(j.metrics.Simulated.Load())
+	s.met.escalations.Add(j.metrics.Escalated.Load())
+	switch {
+	case j.ctx.Err() != nil:
+		j.finalize(StateCancelled, nil)
+		s.log.Info("job cancelled", "job", j.id, "kind", j.kind)
+	case err != nil:
+		j.finalize(StateFailed, err)
+		s.log.Error("job failed", "job", j.id, "kind", j.kind, "err", err)
+	default:
+		j.finalize(StateDone, nil)
+		s.log.Info("job done", "job", j.id, "kind", j.kind,
+			"simulated", j.metrics.Simulated.Load(),
+			"store_hits", j.metrics.StoreHits.Load(),
+			"memo_hits", j.metrics.MemoHits.Load(),
+			"remote", j.metrics.Remote.Load(),
+			"analytic", j.metrics.Analytic.Load(),
+			"escalations", j.metrics.Escalated.Load())
+	}
+}
+
+// runSweep is a sweep job's body. Cells resolve through a job-local memo
+// (singleflight within the job), then r: the server's persistent store
+// (shared across jobs and restarts), and only then the estimator, the
+// simulator or the fleet.
+func (s *Server) runSweep(ctx context.Context, j *job, r *scalefold.Resolver) error {
+	sw := j.spec.sweepSpec()
+	sw.Resolver = r
+	sw.OnRow = j.streamRow
+	if s.coord != nil {
+		// Coordinator mode: engine "workers" are dispatch waiters, not
+		// simulations — size them to the grid (capped), never to this
+		// machine's core count, or a single-core coordinator would serialize
+		// the whole fleet. The slot semaphore and the SimWorkers clamp guard
+		// local compute; neither applies when the compute happens elsewhere.
+		if sw.Workers <= 0 {
+			sw.Workers = min(j.cells, 64)
 		}
 	} else {
 		if sw.Workers <= 0 || sw.Workers > s.cfg.Workers {
 			sw.Workers = s.cfg.Workers
 		}
-		// SimWorkers shards work *inside* each gated cell, which the slot
+		// SimWorkers shards work *inside* each slotted cell, which the slot
 		// semaphore cannot see — unclamped, one job could multiply the
 		// server's compute concurrency past the pool. Bound the product of
 		// cell parallelism and intra-cell shards by the pool size (results
@@ -565,13 +589,8 @@ func (s *Server) runJob(j *job) {
 		// Explicit scenarios carry their own sim_workers, so those are
 		// clamped too — on a copy, leaving the job's submitted spec as
 		// received.
-		simLim := s.cfg.Workers / sw.Workers
-		if simLim < 1 {
-			simLim = 1
-		}
-		if sw.SimWorkers > simLim {
-			sw.SimWorkers = simLim
-		}
+		simLim := max(s.cfg.Workers/sw.Workers, 1)
+		sw.SimWorkers = min(sw.SimWorkers, simLim)
 		cloned := false
 		for i := range sw.Scenarios {
 			if sw.Scenarios[i].SimWorkers > simLim {
@@ -582,45 +601,9 @@ func (s *Server) runJob(j *job) {
 				sw.Scenarios[i].SimWorkers = simLim
 			}
 		}
-		sw.Gate = func(run func()) {
-			if j.cancelled.Load() {
-				return // drain: cell settles as a zero row, never persisted
-			}
-			s.slots <- struct{}{}
-			defer func() { <-s.slots }()
-			if j.cancelled.Load() {
-				return
-			}
-			run()
-		}
 	}
-	sw.OnRow = j.streamRow
-	_, err := sw.Run(nil)
-	// Fold the job's resolution counts into the server-lifetime series —
-	// whatever terminal state the job reached, these count work that
-	// actually happened.
-	s.met.analyticCells.Add(j.metrics.Analytic.Load())
-	s.met.exactCells.Add(j.metrics.Simulated.Load())
-	s.met.escalations.Add(j.metrics.Escalated.Load())
-	switch {
-	case j.cancelled.Load():
-		// Cancellation wins over failure: aborting remote dispatch makes the
-		// runner surface a context error, but the user asked for cancel.
-		j.finalize(StateCancelled, nil)
-		s.log.Info("job cancelled", "job", j.id)
-	case err != nil:
-		j.finalize(StateFailed, err)
-		s.log.Error("job failed", "job", j.id, "err", err)
-	default:
-		j.finalize(StateDone, nil)
-		s.log.Info("job done", "job", j.id,
-			"simulated", j.metrics.Simulated.Load(),
-			"store_hits", j.metrics.StoreHits.Load(),
-			"memo_hits", j.metrics.MemoHits.Load(),
-			"remote", j.metrics.Remote.Load(),
-			"analytic", j.metrics.Analytic.Load(),
-			"escalations", j.metrics.Escalated.Load())
-	}
+	_, err := sw.Run(ctx, nil)
+	return err
 }
 
 // Health snapshots the server for GET /v1/healthz: liveness plus uptime,

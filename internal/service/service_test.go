@@ -5,6 +5,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/scalefold"
+	"repro/internal/scenario"
 )
 
 // tinyJob is a 4-cell sweep (DAP {1,2} × ablation {none, zero-launch}) at
@@ -245,6 +249,67 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 	if len(list) != 2 || list[0].ID != first.ID || list[1].ID != queued.ID {
 		t.Fatalf("job listing wrong: %+v", list)
+	}
+}
+
+// waitState polls a job's status until it reports state.
+func waitState(t *testing.T, c *Client, id, state string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, err := c.Job(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == state {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s stuck in %q, want %q", id, st.State, state)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCancelReachesCellWaitingForSlot cancels a running job whose only cell
+// waits for the server's single compute slot while another job's cell holds
+// it. The cancel must reach the waiting cell: the job settles cancelled at
+// once — while the slot holder is still running — instead of holding one of
+// the active-job slots until the other simulation frees the compute slot.
+func TestCancelReachesCellWaitingForSlot(t *testing.T) {
+	_, c, stop := newTestServer(t, Config{Workers: 1, MaxActiveJobs: 2})
+	defer stop()
+	long := scalefold.Figure7Config("H100", 512, 8).Scenario // about a second
+	long.Steps = 24
+	holder, err := c.Submit(JobSpec{Scenarios: []scenario.Scenario{long}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, c, holder.ID, StateRunning)
+	waiter, err := c.Submit(tinyJob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, c, waiter.ID, StateRunning)
+	// Lowering the waiter's four cells takes microseconds; give its first
+	// cell time to park on the compute slot, so the cancel must reach a
+	// cell that is already waiting rather than one not yet started.
+	time.Sleep(50 * time.Millisecond)
+	if _, err := c.Cancel(waiter.ID); err != nil {
+		t.Fatal(err)
+	}
+	done, err := c.Stream(waiter.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != StateCancelled || done.Simulated != 0 {
+		t.Fatalf("waiting job's done event = %+v; want cancelled with nothing simulated", done)
+	}
+	if st, err := c.Job(holder.ID); err != nil || st.State != StateRunning {
+		t.Fatalf("slot holder = %+v, %v; the cancel must settle before it finishes", st, err)
+	}
+	if d, err := c.Stream(holder.ID, nil); err != nil || d.State != StateDone {
+		t.Fatalf("slot holder: %+v, %v", d, err)
 	}
 }
 

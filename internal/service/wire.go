@@ -83,9 +83,9 @@ func (js JobSpec) withDefaults() JobSpec {
 	return js
 }
 
-// sweepSpec lowers the wire spec to an executable one (axes and explicit
-// scenarios only — the server fills cache, store, metrics and scheduling
-// hooks).
+// sweepSpec lowers the wire spec to an executable one (axes, explicit
+// scenarios and the requested parallelism — the server fills the Resolver
+// and row hook, and fits Workers to its pool).
 func (js JobSpec) sweepSpec() scalefold.SweepSpec {
 	return scalefold.SweepSpec{
 		Profile:    js.Profile,
@@ -95,6 +95,7 @@ func (js JobSpec) sweepSpec() scalefold.SweepSpec {
 		Ablations:  js.Ablations,
 		Seeds:      js.Seeds,
 		Steps:      js.Steps,
+		Workers:    js.Workers,
 		SimWorkers: js.SimWorkers,
 		Perturb:    js.Perturb,
 		Mode:       js.Mode,
@@ -224,6 +225,8 @@ type StoreStatus struct {
 	Dir string `json:"dir,omitempty"`
 	// Dropped counts unparsable log lines skipped at startup (disk only).
 	Dropped int `json:"dropped,omitempty"`
-	// Simulations counts actual simulator runs in this server process.
+	// Simulations counts the exact simulations this server ran itself,
+	// folded in as each job finishes; fleet workers' simulations are not
+	// included.
 	Simulations int64 `json:"simulations"`
 }

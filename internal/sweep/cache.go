@@ -1,10 +1,6 @@
 package sweep
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Cache memoizes scenario results by canonical fingerprint. It is safe for
 // concurrent use and deduplicates in-flight work: when two workers reach the
@@ -18,9 +14,6 @@ type Cache[R any] struct {
 type cacheEntry[R any] struct {
 	once sync.Once
 	val  R
-	// done flips to true once val is written; readers that observe it may
-	// read val without racing the computing goroutine.
-	done atomic.Bool
 }
 
 // NewCache returns an empty result cache.
@@ -42,7 +35,6 @@ func (c *Cache[R]) Do(key string, f func() R) (R, bool) {
 	ran := false
 	e.once.Do(func() {
 		e.val = f()
-		e.done.Store(true)
 		ran = true
 	})
 	return e.val, !ran
@@ -54,43 +46,4 @@ func (c *Cache[R]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
-}
-
-// Keys returns the fingerprints of every settled entry, sorted. Entries
-// whose computation is still in flight are excluded — their value cannot be
-// read yet — so the result is a consistent, deterministic inventory of what
-// the cache actually holds.
-func (c *Cache[R]) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]string, 0, len(c.m))
-	for k, e := range c.m {
-		if e.done.Load() {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Entry is one settled cache entry, as returned by Snapshot.
-type Entry[R any] struct {
-	Key   string
-	Value R
-}
-
-// Snapshot returns every settled entry in sorted key order — the hook a
-// persistent store uses to drain the in-memory memo. Like Keys, in-flight
-// entries are excluded.
-func (c *Cache[R]) Snapshot() []Entry[R] {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Entry[R], 0, len(c.m))
-	for k, e := range c.m {
-		if e.done.Load() {
-			out = append(out, Entry[R]{Key: k, Value: e.val})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
 }

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -71,5 +72,46 @@ func TestEveryInternalPackageHasACaller(t *testing.T) {
 	sort.Strings(orphans)
 	for _, p := range orphans {
 		t.Errorf("%s has no importer outside its own tests: delete it or call it", p)
+	}
+}
+
+// TestScalefoldHoldsNoProcessState fails when a non-test file of
+// internal/scalefold declares a package-level variable beyond the immutable
+// declarations and the census memo (a pure derivation of the fixed model
+// config): results are resolved through a caller's Resolver and memoized
+// per run, never in process-wide state.
+func TestScalefoldHoldsNoProcessState(t *testing.T) {
+	allowed := map[string]bool{"Ablations": true, "Figure3DAPs": true, "ladderRungs": true, "censusCache": true}
+	fset := token.NewFileSet()
+	files, err := filepath.Glob(filepath.Join("internal", "scalefold", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vars []string
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				for _, name := range spec.(*ast.ValueSpec).Names {
+					vars = append(vars, name.Name)
+					if !allowed[name.Name] {
+						t.Errorf("%s: package-level var %s holds process state", fset.Position(name.Pos()), name.Name)
+					}
+				}
+			}
+		}
+	}
+	if len(vars) == 0 {
+		t.Fatal("found no package-level vars; run from the module root")
 	}
 }
