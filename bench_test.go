@@ -534,6 +534,15 @@ func BenchmarkSweepObs(b *testing.B) {
 
 // ---------- Cluster simulator throughput ----------
 
+// mustSimulate is cluster.Simulate for a plan the benchmark knows is valid.
+func mustSimulate(b *testing.B, prog *workload.Program, ranks, dapDegree int, o cluster.Options) cluster.Result {
+	r, err := cluster.Simulate(prog, ranks, dapDegree, o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
 // BenchmarkClusterSimulateDAP8 measures one cold cluster.Simulate call at
 // figure scale — the Figure 7 ScaleFold configuration at DAP-8 — bypassing
 // the memo cache and the persistent store entirely, so ns/op and allocs/op
@@ -555,7 +564,7 @@ func BenchmarkClusterSimulateDAP8(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				o.Seed = int64(i + 1)
-				_ = cluster.Simulate(prog, ranks, 8, o)
+				mustSimulate(b, prog, ranks, 8, o)
 			}
 			perSec := float64(b.N) * float64(time.Second) / float64(b.Elapsed())
 			b.ReportMetric(float64(o.Steps)*perSec, "sim-steps/s")
@@ -590,7 +599,7 @@ func BenchmarkSimulatePerturbed(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				o.Seed = int64(i + 1)
-				goodput = cluster.Simulate(prog, ranks, 8, o).Goodput
+				goodput = mustSimulate(b, prog, ranks, 8, o).Goodput
 			}
 			perSec := float64(b.N) * float64(time.Second) / float64(b.Elapsed())
 			b.ReportMetric(float64(o.Steps)*perSec, "sim-steps/s")

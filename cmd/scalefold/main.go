@@ -856,7 +856,6 @@ func header(s string) { fmt.Printf("=== %s ===\n", s) }
 
 func table1(*scalefold.Resolver) {
 	header("Table 1: kernel breakdown of the AlphaFold training step")
-	prog := scalefold.KernelCensus()
 	rows := scalefold.Table1()
 	paper := map[string]struct {
 		share float64
@@ -877,7 +876,7 @@ func table1(*scalefold.Resolver) {
 		}
 		fmt.Printf("%-18s %13.2f%% %13.2f%% %10s %10s\n", r.Kind, 100*r.Share, p.share, callStr, paperCallStr)
 	}
-	fmt.Printf("total launches per step: %d (paper: 150887)\n", prog.TotalCalls())
+	fmt.Printf("total launches per step: %d (paper: 150887)\n", workload.Full(workload.Baseline()).TotalCalls())
 }
 
 func fig3(r *scalefold.Resolver) {

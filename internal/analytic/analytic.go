@@ -6,10 +6,11 @@
 // explicit error Bound attached to every stochastic field.
 //
 // The deterministic skeleton (roofline kernel times, collective schedule,
-// graph capture, GC pauses, the gradient-clip overlap) mirrors
-// cluster.Simulate exactly, so those components are not estimates at all.
-// The stochastic components — execution jitter at sync barriers, CPU-peak
-// and straggler delays, data-pipeline waits, and the perturbation layer's
+// graph capture, GC pauses, the gradient-clip overlap, the chunk-jitter
+// parameters) is read from cluster.NewSkeleton, the same value the simulator
+// marches on, so those components are not estimates at all. The stochastic
+// components — execution jitter at sync barriers, CPU-peak and straggler
+// delays, data-pipeline waits, and the perturbation layer's
 // slowdowns/stalls/failures — are modeled by expectation and order
 // statistics: a barrier-synced step ends when its slowest rank does, so
 // each noise source contributes roughly E[max over ranks], not the mean.
@@ -28,28 +29,10 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/comm"
-	"repro/internal/dap"
-	"repro/internal/dataset"
-	"repro/internal/gpu"
-	"repro/internal/model"
-	"repro/internal/pipeline"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
-
-// censusCache memoizes lowered kernel censuses exactly like package
-// scalefold does — censuses are immutable derivations of the model config,
-// shared across every scenario that spells the same options.
-var censusCache = sweep.NewCache[*workload.Program]()
-
-func censusFor(cen workload.Options) *workload.Program {
-	prog, _ := censusCache.Do(scenario.CanonicalCensus(cen), func() *workload.Program {
-		return workload.Census(model.FullConfig(), cen)
-	})
-	return prog
-}
 
 // sampleRanks is how many pseudo-ranks the data-wait estimate replays
 // through the pipeline model. The replay is the estimator's only
@@ -59,30 +42,21 @@ func censusFor(cen workload.Options) *workload.Program {
 // scenarios with ranks <= sampleRanks the waits are exact.
 const sampleRanks = 4
 
-// prepCache memoizes the sampled per-rank prep-time draws. The draws are a
-// pure function of (seed, prep model, pseudo-rank, epoch length) — every
-// cell of a grid sweep shares them — and producing one draw re-seeds a
-// keyed math/rand source (~10µs to refill its lagged-Fibonacci state),
-// which profiling shows is ~90% of a cold Estimate. One entry is a few
-// hundred bytes; callers treat the cached slice as read-only.
+// prepCache memoizes the sampled pseudo-ranks' Skeleton.RankPrep streams.
+// A stream is a pure function of its key — seed, pseudo-rank, epoch length
+// and prep model — so every cell of a grid sweep that shares those shares
+// the entry. Producing one draw re-seeds a keyed math/rand source (~10µs to
+// refill its lagged-Fibonacci state), which profiling shows is ~90% of a
+// cold Estimate. One entry is a few hundred bytes; callers treat the cached
+// slice as read-only. The cache is process-wide and never evicts.
 var prepCache = sweep.NewCache[[]time.Duration]()
 
 // sampledPrepTimes returns pseudo-rank r's prep-time stream for one warm
-// epoch, bit-identical to the draws the exact simulator's generator would
-// produce for the same seed and indices.
-func sampledPrepTimes(seed int64, m dataset.PrepTimeModel, r, epoch int) []time.Duration {
-	key := fmt.Sprintf("%d|%d|%d|%v", seed, r, epoch, m)
-	prep, _ := prepCache.Do(key, func() []time.Duration {
-		gs := dataset.NewGenerator(seed + 101).Sampler()
-		pt := m.Timer()
-		prep := make([]time.Duration, epoch)
-		for k := range prep {
-			idx := r*epoch + k
-			seqLen, msaSize := gs.Geometry(idx)
-			prep[k] = pt.DurationAt(idx, seqLen, msaSize, seed+int64(r))
-		}
-		return prep
-	})
+// epoch — the simulator's own stream for that rank — through prepCache.
+func sampledPrepTimes(sk *cluster.Skeleton, r int) []time.Duration {
+	o := &sk.Opts
+	key := fmt.Sprintf("%d|%d|%d|%v", o.Seed, r, sk.Epoch, o.PrepModel)
+	prep, _ := prepCache.Do(key, func() []time.Duration { return sk.RankPrep(r) })
 	return prep
 }
 
@@ -102,100 +76,21 @@ func Estimate(s scenario.Scenario) (cluster.Result, Bounds, error) {
 		return cluster.Result{}, Bounds{}, err
 	}
 	ranks := n.Ranks
-	plan, err := dap.NewPlan(ranks, n.DAP)
+	sk, err := cluster.NewSkeleton(workload.Full(n.Census), ranks, n.DAP, o)
 	if err != nil {
 		return cluster.Result{}, Bounds{}, err
 	}
-	prog := censusFor(n.Census)
-
-	// --- Deterministic skeleton, mirroring cluster.Simulate's census pass,
-	// collective schedule, graph capture and GC model bit for bit.
-	exposeCPU := !o.CUDAGraph && !o.ZeroLaunchOverhead
-	var gpuCompute, serialPart, cpuExposedBase time.Duration
-	var launches int
-	for _, g := range prog.Groups {
-		if o.ZeroSerial && g.Serial {
-			continue
-		}
-		perCall := o.Arch.KernelDuration(g.PerCallFlops(), g.PerCallBytes(), o.FlatEfficiency)
-		d := time.Duration(g.Calls) * perCall
-		gpuCompute += d
-		if g.Serial {
-			serialPart += d
-		}
-		launches += g.Calls
-		if exposeCPU {
-			if gap := o.Arch.LaunchOverhead - perCall; gap > 0 {
-				cpuExposedBase += time.Duration(g.Calls) * gap
-			}
-		}
-	}
-	var syncEvents int
-	var xferPerStep time.Duration
-	for _, sp := range prog.Syncs {
-		syncEvents += sp.Count
-		bytes := sp.Bytes
-		if o.ZeroCommVolume {
-			bytes = 0
-		}
-		xferPerStep += time.Duration(sp.Count) * o.Topo.Cost(sp.Op, plan.Degree, bytes)
-	}
-	var graphCapture time.Duration
-	if o.CUDAGraph {
-		graphs := gpu.NewGraphCache(0)
-		for key := 0; key < 4; key++ {
-			graphCapture += graphs.Launch(o.Arch, key, launches, o.CPU, 0)
-		}
-	}
-	intervals := syncEvents + 1
-	var cpuExposedStep time.Duration
-	if o.CUDAGraph {
-		cpuExposedStep = o.Arch.GraphReplayOverhead + gcCost(o.CPU, launches)
-	} else if !o.ZeroLaunchOverhead {
-		cpuExposedStep = cpuExposedBase + gcCost(o.CPU, launches)
-	}
-	march := plan.Degree > 1 && syncEvents > 0
-	nGroups, gsize := ranks, 1
-	var evCost time.Duration
-	if march {
-		nGroups, gsize = plan.DPWays, plan.Degree
-		evCost = xferPerStep / time.Duration(syncEvents)
-		if !o.CUDAGraph {
-			evCost += 2 * o.Arch.LaunchOverhead
-		}
-	}
-	perRankChunk := gpuCompute / time.Duration(intervals)
-	var xferAcc time.Duration
-	if march {
-		xferAcc = time.Duration(syncEvents) * evCost
-	}
-	arCost := o.Topo.AllReduce(plan.DPWays, prog.GradBytes/float64(plan.Degree))
-	clipTime := time.Duration(prog.ClipKernels) * o.Arch.LaunchOverhead
-	visible, _ := comm.OverlapGradClip(arCost, clipTime)
-	clipExposed := visible - arCost
 
 	// --- Data-pipeline waits: replay the simulator's own per-rank pipeline
 	// for a handful of sampled ranks (exact streams, exact warmup) instead
 	// of all of them. The sampled mean estimates the breakdown's DataWait;
 	// the sampled per-step maxima estimate the barrier's wait term.
-	warmup := 16
-	if o.Prefetch > warmup {
-		warmup = o.Prefetch
-	}
-	stepEstimate := gpuCompute + cpuExposedBase + xferPerStep
-	epoch := warmup + o.Steps + 16
-	rSample := sampleRanks
-	if ranks < rSample {
-		rSample = ranks
-	}
+	rSample := min(sampleRanks, ranks)
 	stepMaxWait := make([]time.Duration, o.Steps)
 	stepMeanWait := make([]float64, o.Steps)
 	var waitSum time.Duration
 	for r := 0; r < rSample; r++ {
-		prep := sampledPrepTimes(o.Seed, o.PrepModel, r, epoch)
-		tl := pipeline.AnalyticSim{PrepTimes: prep, Workers: o.Workers, Prefetch: o.Prefetch, NonBlocking: o.NonBlockingPipeline}.Run(stepEstimate)
-		for st := 0; st < o.Steps; st++ {
-			w := tl.Wait[warmup+st]
+		for st, w := range sk.RankWaits(sampledPrepTimes(&sk, r)) {
 			waitSum += w
 			stepMeanWait[st] += sec(w) / float64(rSample)
 			if w > stepMaxWait[st] {
@@ -216,59 +111,45 @@ func Estimate(s scenario.Scenario) (cluster.Result, Bounds, error) {
 
 	// --- Stochastic extras at the step barrier: a step ends when its
 	// slowest rank does, so each noise source contributes an expected
-	// max-over-ranks, built from the same per-chunk parameters the
-	// simulator's advance() draws from.
-	peaksPerStep := o.CPU.PeakProb * 2
-	kernelsPerChunk := float64(launches) / float64(intervals)
-	if kernelsPerChunk < 1 {
-		kernelsPerChunk = 1
-	}
-	perKernelCV := 0.35
-	if o.CUDAGraph {
-		perKernelCV = 0.12
-	}
-	chunkCV := perKernelCV / math.Sqrt(kernelsPerChunk)
-	stragglerProb := o.CPU.StragglerProb
-	if o.CUDAGraph {
-		stragglerProb /= 15
-	}
-	cpuChunk := sec(cpuExposedStep) / float64(intervals)
+	// max-over-ranks, built from the skeleton's per-chunk parameters the
+	// simulator's jitter draws from.
+	cpuChunk := sec(sk.CPUExposedStep) / float64(sk.Intervals)
 
 	var jIntra, jCross, jStrag, jPeak, sigmaStep float64
 	if !o.PerfectBalance {
 		var sigmaChunk float64
-		if march {
-			sigmaChunk = chunkCV * sec(perRankChunk)
+		if sk.March {
+			sigmaChunk = sk.ChunkCV * sec(sk.PerRankChunk)
 			// Within a group every sync barrier waits for the slowest of
 			// gsize ranks; across groups the final all-reduce waits for the
 			// slowest group-sum (sd ~ sigma*sqrt(intervals): the intervals'
 			// maxima are near-independent).
-			jIntra = float64(intervals) * sigmaChunk * maxGauss(gsize)
-			jCross = sigmaChunk * math.Sqrt(float64(intervals)) * maxGauss(nGroups)
+			jIntra = float64(sk.Intervals) * sigmaChunk * maxGauss(sk.GroupSize)
+			jCross = sigmaChunk * math.Sqrt(float64(sk.Intervals)) * maxGauss(sk.Groups)
 		} else {
-			sigmaChunk = chunkCV * sec(gpuCompute)
+			sigmaChunk = sk.ChunkCV * sec(sk.GPUCompute)
 			jCross = sigmaChunk * maxGauss(ranks)
 		}
-		sigmaStep = sigmaChunk * math.Sqrt(float64(intervals))
+		sigmaStep = sigmaChunk * math.Sqrt(float64(sk.Intervals))
 		// Stragglers: rare exponential delays, stragglerProb per advance;
 		// the barrier sees roughly the largest of the k expected arrivals
 		// (E[max of k Exp(m)] = m*H_k ~ m*ln(1+k), smooth through k < 1).
-		if stragglerProb > 0 {
-			k := float64(ranks) * float64(intervals) * stragglerProb
+		if sk.StragglerProb > 0 {
+			k := float64(ranks) * float64(sk.Intervals) * sk.StragglerProb
 			jStrag = sec(o.CPU.StragglerMean) * math.Log1p(k)
 		}
 		// CPU peaks stretch the exposed-CPU share of a chunk by up to
 		// PeakStretch; the barrier sees ~the largest of the k expected
 		// uniform stretches (E[max of k U(0,1)] = k/(k+1)).
-		if cpuChunk > 0 && peaksPerStep > 0 {
-			k := float64(ranks) * peaksPerStep
+		if cpuChunk > 0 && sk.PeaksPerStep > 0 {
+			k := float64(ranks) * sk.PeaksPerStep
 			jPeak = o.CPU.PeakStretch * cpuChunk * k / (k + 1)
 		}
 	}
 
 	// --- Perturbation closed forms (all zero on a healthy cluster).
 	p := o.Perturb.Normalize()
-	compute := sec(gpuCompute) + sec(cpuExposedStep)
+	compute := sec(sk.GPUCompute) + sec(sk.CPUExposedStep)
 	var slowPt, slowHi, stallPt, stallHi float64
 	if p.SlowdownProb > 0 && p.SlowdownFactor > 1 {
 		// Persistent stragglers: each rank is slowed w.p. SlowdownProb by a
@@ -288,7 +169,7 @@ func Estimate(s scenario.Scenario) (cluster.Result, Bounds, error) {
 	}
 
 	// --- Healthy step wall: deterministic base + barrier extras.
-	base := waitBarrier + sec(gpuCompute) + sec(cpuExposedStep) + sec(xferAcc) + sec(visible)
+	base := waitBarrier + sec(sk.GPUCompute) + sec(sk.CPUExposedStep) + sec(sk.SyncXfer) + sec(sk.Visible)
 	jPoint := jIntra + jCross + jStrag + jPeak
 	stepEnd := base + jPoint + slowPt + stallPt
 	// The bound allowances: jitter estimates doubled plus a 3-sigma step
@@ -388,7 +269,7 @@ func Estimate(s scenario.Scenario) (cluster.Result, Bounds, error) {
 	// Comm wait: the per-event barrier gaps plus the all-reduce straggler
 	// wait — same order statistics as the step extras, minus the part every
 	// rank shares.
-	commWaitPt := float64(syncEvents)*chunkCV*sec(perRankChunk)*maxGauss(gsize) +
+	commWaitPt := float64(sk.SyncEvents)*sk.ChunkCV*sec(sk.PerRankChunk)*maxGauss(sk.GroupSize) +
 		jCross + jStrag + jPeak + stallPt + slowPt + (waitBarrier - meanWait)
 	if o.PerfectBalance {
 		commWaitPt = 0
@@ -402,13 +283,13 @@ func Estimate(s scenario.Scenario) (cluster.Result, Bounds, error) {
 
 	// --- Assemble the Result and its bounds.
 	bk := cluster.Breakdown{
-		GPUCompute:  gpuCompute,
-		SerialPart:  serialPart,
-		CPUExposed:  cpuExposedStep,
+		GPUCompute:  sk.GPUCompute,
+		SerialPart:  sk.SerialPart,
+		CPUExposed:  sk.CPUExposedStep,
 		DataWait:    dur(meanWait),
-		CommXfer:    xferAcc + arCost,
+		CommXfer:    sk.SyncXfer + sk.AllReduce,
 		CommWait:    dur(commWaitPt),
-		ClipExposed: clipExposed,
+		ClipExposed: sk.ClipExposed,
 	}
 	// Median-over-steps variants from the sampled replay (data) and the
 	// point estimate (comm) — informational, like the simulator's.
@@ -429,8 +310,8 @@ func Estimate(s scenario.Scenario) (cluster.Result, Bounds, error) {
 		MedianStep:   dur(medianPt),
 		P99Step:      dur(p99Pt),
 		Break:        bk,
-		Plan:         plan,
-		GraphCapture: graphCapture,
+		Plan:         sk.Plan,
+		GraphCapture: sk.GraphCapture,
 		Restarts:     restartsPt,
 		StallShare:   stallSharePt,
 		Goodput:      goodputPt,
@@ -453,14 +334,6 @@ func Estimate(s scenario.Scenario) (cluster.Result, Bounds, error) {
 		bounds.StallShare = Bound{}
 	}
 	return res, bounds, nil
-}
-
-// gcCost mirrors the simulator's per-step Python-GC stall model.
-func gcCost(c gpu.CPUModel, launches int) time.Duration {
-	if !c.GCEnabled || c.GCInterval <= 0 {
-		return 0
-	}
-	return time.Duration(launches/c.GCInterval) * c.GCPause
 }
 
 // Policy is the auto-mode escalation rule: a cell leaves the analytic fast

@@ -1,14 +1,23 @@
 package analytic
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
 	"math"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/perturb"
 	"repro/internal/scenario"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
+
+var update = flag.Bool("update", false, "rewrite the fidelity golden file")
 
 // scaleFoldScenario mirrors scalefold.Figure7Config without importing the
 // package (scalefold imports analytic; the test must not close the cycle).
@@ -48,7 +57,21 @@ func exact(t *testing.T, s scenario.Scenario) cluster.Result {
 	if err != nil {
 		t.Fatalf("Normalize: %v", err)
 	}
-	return cluster.Simulate(censusFor(n.Census), n.Ranks, n.DAP, o)
+	res, err := cluster.Simulate(workload.Full(n.Census), n.Ranks, n.DAP, o)
+	if err != nil {
+		t.Fatalf("Simulate: %v", err)
+	}
+	return res
+}
+
+// exactMemo shares each fidelity scenario's exact Result between the tests
+// that compare against it, so the corpus simulates once per package run.
+var exactMemo = sweep.NewCache[cluster.Result]()
+
+func exactFor(t *testing.T, name string, s scenario.Scenario) cluster.Result {
+	t.Helper()
+	res, _ := exactMemo.Do(name, func() cluster.Result { return exact(t, s) })
+	return res
 }
 
 // fidelityScenarios is the containment corpus for this package's own tests:
@@ -84,10 +107,49 @@ func fidelityScenarios() map[string]scenario.Scenario {
 	return out
 }
 
+// fidelityGolden is one corpus scenario's pinned outputs: the estimate, its
+// bounds and the exact simulator's Result.
+type fidelityGolden struct {
+	Estimate cluster.Result `json:"estimate"`
+	Bounds   Bounds         `json:"bounds"`
+	Exact    cluster.Result `json:"exact"`
+}
+
 // TestEstimateContainsExact is the containment contract at package level:
 // for every corpus scenario the exact simulator's Result lands inside the
-// estimate's own stated Bounds.
+// estimate's own stated Bounds. It also pins all three values to
+// testdata/fidelity.golden, so a refactor of either the simulator or the
+// estimator that moves one bit fails here. Regenerate deliberately with
+// `go test ./internal/analytic -run ContainsExact -update`.
 func TestEstimateContainsExact(t *testing.T) {
+	path := filepath.Join("testdata", "fidelity.golden")
+	want := map[string]json.RawMessage{}
+	if !*update {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden file (generate with -update): %v", err)
+		}
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var mu sync.Mutex
+	got := map[string]fidelityGolden{}
+	t.Cleanup(func() {
+		if !*update {
+			return
+		}
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
 	for name, s := range fidelityScenarios() {
 		s := s
 		t.Run(name, func(t *testing.T) {
@@ -96,40 +158,60 @@ func TestEstimateContainsExact(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Estimate: %v", err)
 			}
-			ex := exact(t, s)
+			ex := exactFor(t, name, s)
 			if err := bounds.Check(ex); err != nil {
 				t.Errorf("%v\n  estimate mean=%v median=%v goodput=%.4f restarts=%d\n  exact    mean=%v median=%v goodput=%.4f restarts=%d",
 					err, res.MeanStep, res.MedianStep, res.Goodput, res.Restarts,
 					ex.MeanStep, ex.MedianStep, ex.Goodput, ex.Restarts)
+			}
+			g := fidelityGolden{Estimate: res, Bounds: bounds, Exact: ex}
+			if *update {
+				mu.Lock()
+				got[name] = g
+				mu.Unlock()
+				return
+			}
+			data, err := json.Marshal(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pinned bytes.Buffer
+			if err := json.Compact(&pinned, want[name]); err != nil {
+				t.Fatalf("no golden entry for %s: %v", name, err)
+			}
+			if pinned.String() != string(data) {
+				t.Errorf("outputs drifted from %s:\n got %s\nwant %s", path, data, pinned.String())
 			}
 		})
 	}
 }
 
 // TestEstimateDeterministicSkeletonExact pins the components the estimator
-// promises to reproduce bit for bit: the census-derived breakdown fields and
-// the graph-capture cost match the simulator exactly.
+// promises to reproduce bit for bit on every corpus scenario: the
+// census-derived breakdown fields, the graph-capture cost and the plan match
+// the simulator exactly.
 func TestEstimateDeterministicSkeletonExact(t *testing.T) {
-	for _, s := range []scenario.Scenario{
-		scaleFoldScenario("H100", 256, 2),
-		baselineScenario("A100", 128),
-	} {
+	for name, s := range fidelityScenarios() {
 		res, _, err := Estimate(s)
 		if err != nil {
-			t.Fatalf("Estimate: %v", err)
+			t.Fatalf("%s: Estimate: %v", name, err)
 		}
-		ex := exact(t, s)
-		if res.Break.GPUCompute != ex.Break.GPUCompute {
-			t.Errorf("GPUCompute: estimate %v, exact %v", res.Break.GPUCompute, ex.Break.GPUCompute)
-		}
-		if res.Break.SerialPart != ex.Break.SerialPart {
-			t.Errorf("SerialPart: estimate %v, exact %v", res.Break.SerialPart, ex.Break.SerialPart)
-		}
-		if res.GraphCapture != ex.GraphCapture {
-			t.Errorf("GraphCapture: estimate %v, exact %v", res.GraphCapture, ex.GraphCapture)
-		}
-		if res.Plan != ex.Plan {
-			t.Errorf("Plan: estimate %+v, exact %+v", res.Plan, ex.Plan)
+		ex := exactFor(t, name, s)
+		for _, f := range []struct {
+			field      string
+			est, exact any
+		}{
+			{"GPUCompute", res.Break.GPUCompute, ex.Break.GPUCompute},
+			{"SerialPart", res.Break.SerialPart, ex.Break.SerialPart},
+			{"CPUExposed", res.Break.CPUExposed, ex.Break.CPUExposed},
+			{"CommXfer", res.Break.CommXfer, ex.Break.CommXfer},
+			{"ClipExposed", res.Break.ClipExposed, ex.Break.ClipExposed},
+			{"GraphCapture", res.GraphCapture, ex.GraphCapture},
+			{"Plan", res.Plan, ex.Plan},
+		} {
+			if f.est != f.exact {
+				t.Errorf("%s: %s: estimate %+v, exact %+v", name, f.field, f.est, f.exact)
+			}
 		}
 	}
 }

@@ -194,31 +194,67 @@ type groupStep struct {
 	fails          int
 }
 
-// Simulate runs the step simulation for a program on `ranks` GPUs at the
-// given DAP degree.
-//
-// Hot-path structure (see docs/ARCHITECTURE.md "Simulator hot path"): the
-// data-wait precompute asks the dataset layer for sample geometry only —
-// no protein is folded, no MSA materialized — and both it and the per-group
-// step march shard across Options.SimWorkers goroutines. Per-rank RNG
-// streams and per-group state are disjoint, and cross-group reductions sum
-// integer nanoseconds, so the Result is bit-identical for every SimWorkers
-// value. All step-loop scratch is hoisted and reused: the steady-state loop
-// allocates nothing.
-func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
+// Skeleton is everything Simulate derives before its first random draw: the
+// plan, the census pass, the collective schedule, graph capture, the GC
+// model, the data-pipeline window, the chunk-jitter parameters, the march
+// geometry and the gradient all-reduce with its clip overlap. It is a pure
+// function of NewSkeleton's arguments. Simulate runs its random phases on
+// it, and analytic.Estimate reads the same value, so the estimator's
+// deterministic components are the simulator's, not a copy of them.
+type Skeleton struct {
+	Opts Options // normalized: unset tunables hold their defaults
+	Plan dap.Plan
+
+	// The census pass: roofline kernel time and its serial share, the host
+	// exposure every rank pays per step (launch overhead not hidden behind
+	// kernels, or graph replay, plus GC pauses) and the one-time CUDA-graph
+	// capture cost.
+	GPUCompute, SerialPart, CPUExposedStep, GraphCapture time.Duration
+
+	// SyncEvents DAP collectives cut each step into Intervals compute
+	// chunks. A chunk's execution jitter has relative spread ChunkCV, it
+	// hits a straggler delay with probability StragglerProb, and
+	// PeaksPerStep background-CPU peaks land per step.
+	SyncEvents, Intervals                int
+	ChunkCV, StragglerProb, PeaksPerStep float64
+
+	// March reports that each step marches through the sync events in
+	// Groups DAP groups of GroupSize ranks, a chunk taking PerRankChunk of
+	// GPU time and the events SyncXfer; otherwise every rank is a group of
+	// one advancing in a single chunk.
+	March                  bool
+	Groups, GroupSize      int
+	PerRankChunk, SyncXfer time.Duration
+	// AllReduce is the data-parallel gradient all-reduce; Visible adds the
+	// gradient clip it does not hide, ClipExposed.
+	AllReduce, Visible, ClipExposed time.Duration
+
+	// Epoch is one rank's prep-time stream length: a warmup window that
+	// fills the prefetch queue, the measured steps and a trailing pad.
+	Epoch int
+
+	warmup       int
+	stepEstimate time.Duration // the step time the data pipeline replays against
+	evCost       time.Duration // one sync event plus its launch latency
+	gen          *dataset.Generator
+}
+
+// NewSkeleton derives the skeleton of simulating prog on `ranks` GPUs at the
+// given DAP degree. It fails when ranks and the degree do not form a plan.
+func NewSkeleton(prog *workload.Program, ranks, dapDegree int, o Options) (Skeleton, error) {
 	plan, err := dap.NewPlan(ranks, dapDegree)
 	if err != nil {
-		panic(err)
+		return Skeleton{}, err
 	}
 	o = o.normalized()
-	workers := o.SimWorkers
+	s := Skeleton{Opts: o, Plan: plan}
 
-	// --- Per-step invariants (identical across ranks), one pass over the
+	// Per-step invariants (identical across ranks), one pass over the
 	// census: roofline kernel time, serial share, launch count, and the
 	// exposed-CPU baseline (launches whose issue cost exceeds the kernel's
 	// own duration leave the GPU idle; approximated per group).
 	exposeCPU := !o.CUDAGraph && !o.ZeroLaunchOverhead
-	var gpuCompute, serialPart, cpuExposedBase time.Duration
+	var cpuExposedBase time.Duration
 	var launches int
 	for _, g := range prog.Groups {
 		if o.ZeroSerial && g.Serial {
@@ -226,9 +262,9 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 		}
 		perCall := o.Arch.KernelDuration(g.PerCallFlops(), g.PerCallBytes(), o.FlatEfficiency)
 		d := time.Duration(g.Calls) * perCall
-		gpuCompute += d
+		s.GPUCompute += d
 		if g.Serial {
-			serialPart += d
+			s.SerialPart += d
 		}
 		launches += g.Calls
 		if exposeCPU {
@@ -239,74 +275,207 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 	}
 
 	// Collective schedule.
-	var syncEvents int
 	var xferPerStep time.Duration
-	for _, s := range prog.Syncs {
-		syncEvents += s.Count
-		bytes := s.Bytes
+	for _, sp := range prog.Syncs {
+		s.SyncEvents += sp.Count
+		bytes := sp.Bytes
 		if o.ZeroCommVolume {
 			bytes = 0
 		}
-		xferPerStep += time.Duration(s.Count) * o.Topo.Cost(s.Op, plan.Degree, bytes)
+		xferPerStep += time.Duration(sp.Count) * o.Topo.Cost(sp.Op, plan.Degree, bytes)
 	}
+	s.Intervals = s.SyncEvents + 1
 
-	// Data pipeline waits, per rank: simulate a warmup prefix so the waits
-	// reflect steady state (the pipeline is warm after MLPerf's init phase),
-	// then keep Steps waits.
-	// A leading window lets the prefetch queue fill; a trailing pad keeps
-	// the epoch end out of the measurement (the non-blocking loader defers
-	// slow batches, and at the very end of an epoch it must finally wait
-	// for them — steady-state training doesn't see that).
-	// Prep times come from the geometry-only dataset path: the cost model
-	// reads nothing but the sample's index, sequence length and MSA size,
-	// so no protein is folded and no MSA allocated just to be timed. Ranks
-	// are independent (the generator is stateless per index, the timer
-	// reseeds per index), so the precompute shards across the worker pool.
-	warmup := 16
-	if o.Prefetch > warmup {
-		warmup = o.Prefetch
-	}
-	stepEstimate := gpuCompute + cpuExposedBase + xferPerStep
-	gen := dataset.NewGenerator(o.Seed + 101)
-	epoch := warmup + o.Steps + 16
-	// dataWaits is rank-major: rank r's wait for step s at [r*Steps+s].
-	dataWaits := make([]time.Duration, ranks*o.Steps)
-	runSharded(workers, ranks, func(lo, hi int) {
-		gs := gen.Sampler()
-		pt := o.PrepModel.Timer()
-		prep := make([]time.Duration, epoch)
-		for r := lo; r < hi; r++ {
-			for k := range prep {
-				idx := r*epoch + k
-				seqLen, msaSize := gs.Geometry(idx)
-				prep[k] = pt.DurationAt(idx, seqLen, msaSize, o.Seed+int64(r))
-			}
-			tl := pipeline.AnalyticSim{PrepTimes: prep, Workers: o.Workers, Prefetch: o.Prefetch, NonBlocking: o.NonBlockingPipeline}.Run(stepEstimate)
-			copy(dataWaits[r*o.Steps:(r+1)*o.Steps], tl.Wait[warmup:warmup+o.Steps])
-		}
-	})
-
-	var graphCapture time.Duration
+	// Per-rank CPU exposure is identical for every rank and every step —
+	// it is a scalar, not a per-step buffer.
 	if o.CUDAGraph {
 		// All recycling scenarios (1..4 recycles) are captured once during
-		// warmup; steady-state steps replay from the cache.
+		// warmup; steady-state steps replay from the cache. Replay is the
+		// only launch cost left, but Python GC still stalls the host
+		// between replays until disabled.
 		graphs := gpu.NewGraphCache(0)
 		for key := 0; key < 4; key++ {
-			graphCapture += graphs.Launch(o.Arch, key, launches, o.CPU, 0)
+			s.GraphCapture += graphs.Launch(o.Arch, key, launches, o.CPU, 0)
+		}
+		s.CPUExposedStep = o.Arch.GraphReplayOverhead + gcCost(o.CPU, launches)
+	} else if !o.ZeroLaunchOverhead {
+		s.CPUExposedStep = cpuExposedBase + gcCost(o.CPU, launches)
+	}
+
+	// Data pipeline window: simulate a warmup prefix so the waits reflect
+	// steady state (the pipeline is warm after MLPerf's init phase), then
+	// keep Steps waits. The leading window lets the prefetch queue fill; the
+	// trailing pad keeps the epoch end out of the measurement (the
+	// non-blocking loader defers slow batches, and at the very end of an
+	// epoch it must finally wait for them — steady-state training doesn't
+	// see that).
+	s.warmup = max(16, o.Prefetch)
+	s.Epoch = s.warmup + o.Steps + 16
+	s.stepEstimate = s.GPUCompute + cpuExposedBase + xferPerStep
+	s.gen = dataset.NewGenerator(o.Seed + 101)
+
+	// Per-chunk relative jitter: a chunk of K kernels has duration CV of
+	// roughly 1/sqrt(K) of the per-kernel CV. Fine-grained DAP sync points
+	// mean few kernels per chunk, hence large relative jitter — the reason
+	// imbalance dominates the Figure 3 gap at high DAP degrees. CUDA graphs
+	// remove the launch-time component of that variance.
+	s.PeaksPerStep = o.CPU.PeakProb * 2
+	kernelsPerChunk := max(float64(launches)/float64(s.Intervals), 1)
+	perKernelCV := 0.35
+	s.StragglerProb = o.CPU.StragglerProb
+	if o.CUDAGraph {
+		perKernelCV = 0.12
+		s.StragglerProb /= 15
+	}
+	s.ChunkCV = perKernelCV / math.Sqrt(kernelsPerChunk)
+
+	// March geometry. Per-kernel sync marching applies when the DAP degree
+	// shards kernels (Degree > 1 with sync events); otherwise each rank is
+	// its own group of one advancing in a single chunk.
+	s.March = plan.Degree > 1 && s.SyncEvents > 0
+	s.Groups, s.GroupSize = ranks, 1
+	if s.March {
+		s.Groups, s.GroupSize = plan.DPWays, plan.Degree
+		// Cost of one sync event (mean over kinds) plus the NCCL kernel
+		// launch latency, which CUDA graphs absorb into the graph.
+		s.evCost = xferPerStep / time.Duration(s.SyncEvents)
+		if !o.CUDAGraph {
+			s.evCost += 2 * o.Arch.LaunchOverhead
+		}
+		s.SyncXfer = time.Duration(s.SyncEvents) * s.evCost
+	}
+	s.PerRankChunk = s.GPUCompute / time.Duration(s.Intervals)
+
+	// Data-parallel gradient all-reduce; bucketed gradient clipping hides
+	// under it.
+	s.AllReduce = o.Topo.AllReduce(plan.DPWays, prog.GradBytes/float64(plan.Degree))
+	clipTime := time.Duration(prog.ClipKernels) * o.Arch.LaunchOverhead
+	s.Visible, _ = comm.OverlapGradClip(s.AllReduce, clipTime)
+	s.ClipExposed = s.Visible - s.AllReduce
+	return s, nil
+}
+
+// RankPrep returns rank r's batch-preparation times for one epoch, the
+// stream the data-wait phase replays for that rank. Prep times come from the
+// geometry-only dataset path: the cost model reads nothing but the sample's
+// index, sequence length and MSA size, so no protein is folded and no MSA
+// allocated just to be timed.
+func (s *Skeleton) RankPrep(r int) []time.Duration {
+	prep := make([]time.Duration, s.Epoch)
+	s.rankPrep(s.gen.Sampler(), s.Opts.PrepModel.Timer(), r, prep)
+	return prep
+}
+
+// rankPrep is RankPrep into a caller's buffer with caller-owned draw state,
+// which the data-wait phase reuses across the ranks of a shard.
+func (s *Skeleton) rankPrep(gs *dataset.GeomSampler, pt *dataset.PrepTimer, r int, prep []time.Duration) {
+	for k := range prep {
+		idx := r*s.Epoch + k
+		seqLen, msaSize := gs.Geometry(idx)
+		prep[k] = pt.DurationAt(idx, seqLen, msaSize, s.Opts.Seed+int64(r))
+	}
+}
+
+// RankWaits replays one rank's prep times through its data pipeline against
+// the skeleton's step estimate and returns the steady-state waits, one per
+// simulated step.
+func (s *Skeleton) RankWaits(prep []time.Duration) []time.Duration {
+	o := &s.Opts
+	tl := pipeline.AnalyticSim{PrepTimes: prep, Workers: o.Workers, Prefetch: o.Prefetch, NonBlocking: o.NonBlockingPipeline}.Run(s.stepEstimate)
+	return tl.Wait[s.warmup : s.warmup+o.Steps]
+}
+
+// Simulate runs the step simulation for a program on `ranks` GPUs at the
+// given DAP degree. It fails when ranks and the degree do not form a plan.
+//
+// It runs in four phases (see docs/ARCHITECTURE.md "Simulator hot path"):
+// NewSkeleton derives everything deterministic; dataWaits precomputes every
+// rank's data-pipeline waits from sample geometry only — no protein is
+// folded, no MSA materialized; march runs each DAP group through every
+// step; and reduce assembles the global barrier and the Result. The two
+// middle phases shard across Options.SimWorkers goroutines. Per-rank RNG
+// streams and per-group state are disjoint, and cross-group reductions sum
+// integer nanoseconds, so the Result is bit-identical for every SimWorkers
+// value. All step-loop scratch is hoisted and reused: the steady-state loop
+// allocates nothing.
+func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) (Result, error) {
+	s, err := NewSkeleton(prog, ranks, dapDegree, o)
+	if err != nil {
+		return Result{}, err
+	}
+	waits := s.dataWaits()
+	return s.reduce(waits, s.march(waits)), nil
+}
+
+// dataWaits is the data-wait precompute: every rank's steady-state
+// data-pipeline waits, rank-major (rank r's wait for step s at
+// [r*Steps+s]). Ranks are independent (the generator is stateless per
+// index, the timer reseeds per index), so the precompute shards across the
+// worker pool.
+func (s *Skeleton) dataWaits() []time.Duration {
+	ranks, steps := s.Plan.TotalRanks, s.Opts.Steps
+	waits := make([]time.Duration, ranks*steps)
+	runSharded(s.Opts.SimWorkers, ranks, func(lo, hi int) {
+		gs := s.gen.Sampler()
+		pt := s.Opts.PrepModel.Timer()
+		prep := make([]time.Duration, s.Epoch)
+		for r := lo; r < hi; r++ {
+			s.rankPrep(gs, pt, r, prep)
+			copy(waits[r*steps:(r+1)*steps], s.RankWaits(prep))
+		}
+	})
+	return waits
+}
+
+// advance returns the duration of one compute chunk on a rank: the GPU
+// share plus the CPU-exposed share, the latter stretched when a background
+// CPU peak lands in the chunk. CUDA graphs make the CPU share microscopic,
+// which is exactly why they immunize the step against peaks (§3.2).
+func (s *Skeleton) advance(rr *rand.Rand, gpuChunk, cpuChunk time.Duration) time.Duration {
+	d := gpuChunk + cpuChunk
+	if s.Opts.PerfectBalance {
+		return d
+	}
+	// Gaussian execution jitter scaled to the chunk's kernel count.
+	d += time.Duration(s.ChunkCV * rr.NormFloat64() * float64(gpuChunk))
+	// Background CPU peak pinning this rank's launch thread right before
+	// the sync point (§3.1 "slow workers"); exponential delay.
+	if s.StragglerProb > 0 && rr.Float64() < s.StragglerProb {
+		d += time.Duration(rr.ExpFloat64() * float64(s.Opts.CPU.StragglerMean))
+	}
+	if cpuChunk > 0 {
+		p := s.PeaksPerStep / float64(s.Intervals)
+		if p > 1 {
+			p = 1
+		}
+		if rr.Float64() < p {
+			d += time.Duration(s.Opts.CPU.PeakStretch * rr.Float64() * float64(cpuChunk))
 		}
 	}
-	intervals := syncEvents + 1
+	if d < 0 {
+		d = 0
+	}
+	return d
+}
 
+// march is the step march, sharded by DAP group, returning each group's
+// per-step barrier contributions group-major (group g's step s at
+// [g*Steps+s]). Within one step a DAP group interacts only internally (its
+// sync barriers) until the global all-reduce; across steps a rank's only
+// carried state is its private RNG stream. So each group's whole step
+// sequence is independent of every other group's, and groups shard freely
+// across workers; reduce assembles the global all-reduce afterwards.
+func (s *Skeleton) march(waits []time.Duration) []groupStep {
+	o, ranks := &s.Opts, s.Plan.TotalRanks
 	rankRNGs := make([]*rand.Rand, ranks)
 	for r := range rankRNGs {
 		rankRNGs[r] = rand.New(rand.NewSource(o.Seed*31 + int64(r)))
 	}
 
 	// Perturbation streams: one private RNG stream per rank, disjoint from
-	// the execution-jitter streams above, drawn in step order inside the
-	// march. Disabled specs allocate nothing and draw nothing, so the
-	// unperturbed simulation is bit-identical to a build without this
-	// layer.
+	// the execution-jitter streams above, drawn in step order. Disabled
+	// specs allocate nothing and draw nothing, so the unperturbed
+	// simulation is bit-identical to a build without this layer.
 	perturbed := o.Perturb.Enabled()
 	var perturbs []*perturb.Stream
 	if perturbed {
@@ -316,95 +485,10 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 		}
 	}
 
-	// advance returns the duration of one compute chunk on a rank: the GPU
-	// share plus the CPU-exposed share, the latter stretched when a
-	// background CPU peak lands in the chunk. CUDA graphs make the CPU share
-	// microscopic, which is exactly why they immunize the step against
-	// peaks (§3.2).
-	peaksPerStep := o.CPU.PeakProb * 2
-	// Per-chunk relative jitter: a chunk of K kernels has duration CV of
-	// roughly 1/sqrt(K) of the per-kernel CV. Fine-grained DAP sync points
-	// mean few kernels per chunk, hence large relative jitter — the reason
-	// imbalance dominates the Figure 3 gap at high DAP degrees. CUDA graphs
-	// remove the launch-time component of that variance.
-	kernelsPerChunk := float64(launches) / float64(intervals)
-	if kernelsPerChunk < 1 {
-		kernelsPerChunk = 1
-	}
-	perKernelCV := 0.35
-	if o.CUDAGraph {
-		perKernelCV = 0.12
-	}
-	chunkCV := perKernelCV / math.Sqrt(kernelsPerChunk)
-	stragglerProb := o.CPU.StragglerProb
-	if o.CUDAGraph {
-		stragglerProb /= 15
-	}
-	advance := func(rr *rand.Rand, gpuChunk, cpuChunk time.Duration) time.Duration {
-		d := gpuChunk + cpuChunk
-		if o.PerfectBalance {
-			return d
-		}
-		// Gaussian execution jitter scaled to the chunk's kernel count.
-		d += time.Duration(chunkCV * rr.NormFloat64() * float64(gpuChunk))
-		// Background CPU peak pinning this rank's launch thread right
-		// before the sync point (§3.1 "slow workers"); exponential delay.
-		if stragglerProb > 0 && rr.Float64() < stragglerProb {
-			d += time.Duration(rr.ExpFloat64() * float64(o.CPU.StragglerMean))
-		}
-		if cpuChunk > 0 {
-			p := peaksPerStep / float64(intervals)
-			if p > 1 {
-				p = 1
-			}
-			if rr.Float64() < p {
-				d += time.Duration(o.CPU.PeakStretch * rr.Float64() * float64(cpuChunk))
-			}
-		}
-		if d < 0 {
-			d = 0
-		}
-		return d
-	}
-
-	// Per-rank CPU exposure is identical for every rank and every step —
-	// it is a scalar, not a per-step buffer.
-	var cpuExposedStep time.Duration
-	if o.CUDAGraph {
-		// Graph replay only: captures happened during init. Python GC still
-		// stalls the host between replays until disabled.
-		cpuExposedStep = o.Arch.GraphReplayOverhead + gcCost(o.CPU, launches)
-	} else if !o.ZeroLaunchOverhead {
-		cpuExposedStep = cpuExposedBase + gcCost(o.CPU, launches)
-	}
-
-	// --- The step march, sharded by DAP group. Within one step a DAP group
-	// interacts only internally (its sync barriers) until the global
-	// all-reduce; across steps a rank's only carried state is its private
-	// RNG stream. So each group's whole step sequence is independent of
-	// every other group's, and groups shard freely across workers: each
-	// group marches through all steps, recording its per-step barrier
-	// contributions, and a sequential reduction assembles the global
-	// all-reduce afterwards. Per-kernel sync marching applies when the DAP
-	// degree shards kernels (Degree > 1 with sync events); otherwise each
-	// rank is its own group of one advancing in a single chunk.
-	march := plan.Degree > 1 && syncEvents > 0
-	nGroups, gsize := ranks, 1
-	var evCost time.Duration
-	if march {
-		nGroups, gsize = plan.DPWays, plan.Degree
-		// Cost of one sync event (mean over kinds) plus the NCCL kernel
-		// launch latency, which CUDA graphs absorb into the graph.
-		evCost = xferPerStep / time.Duration(syncEvents)
-		if !o.CUDAGraph {
-			evCost += 2 * o.Arch.LaunchOverhead
-		}
-	}
-	perRankChunk := gpuCompute / time.Duration(intervals)
-	cpuChunk := cpuExposedStep / time.Duration(intervals)
-	// stats is group-major: group g's step s entry at [g*Steps+s].
-	stats := make([]groupStep, nGroups*o.Steps)
-	runSharded(workers, nGroups, func(glo, ghi int) {
+	steps, gsize := o.Steps, s.GroupSize
+	cpuChunk := s.CPUExposedStep / time.Duration(s.Intervals)
+	stats := make([]groupStep, s.Groups*steps)
+	runSharded(o.SimWorkers, s.Groups, func(glo, ghi int) {
 		// Reusable per-worker scratch — the now-buffer and the per-rank
 		// chunk durations: the steady-state step loop below allocates
 		// nothing. Unperturbed, every rank's chunks are the shared scalars;
@@ -414,28 +498,28 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 		gpuChunks := make([]time.Duration, gsize)
 		cpuChunks := make([]time.Duration, gsize)
 		for i := 0; i < gsize; i++ {
-			gpuChunks[i] = perRankChunk
+			gpuChunks[i] = s.PerRankChunk
 			cpuChunks[i] = cpuChunk
 		}
 		for g := glo; g < ghi; g++ {
 			base := g * gsize
 			rngs := rankRNGs[base : base+gsize]
-			if perturbed && march {
+			if perturbed && s.March {
 				for i := range gpuChunks {
 					f := perturbs[base+i].Factor()
-					gpuChunks[i] = scaleDur(perRankChunk, f)
+					gpuChunks[i] = scaleDur(s.PerRankChunk, f)
 					cpuChunks[i] = scaleDur(cpuChunk, f)
 				}
 			}
-			for step := 0; step < o.Steps; step++ {
-				st := &stats[g*o.Steps+step]
-				if !march {
+			for step := 0; step < steps; step++ {
+				st := &stats[g*steps+step]
+				if !s.March {
 					// Single chunk: data wait, one advance, done.
-					w := dataWaits[g*o.Steps+step]
+					w := waits[g*steps+step]
 					if o.PerfectBalance {
 						w = 0
 					}
-					gpuC, cpuC := gpuCompute, cpuExposedStep
+					gpuC, cpuC := s.GPUCompute, s.CPUExposedStep
 					if perturbed {
 						ps := perturbs[g] // gsize == 1: group g IS rank g
 						stall, failed := ps.Step()
@@ -448,16 +532,16 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 							gpuC, cpuC = scaleDur(gpuC, f), scaleDur(cpuC, f)
 						}
 					}
-					v := w + advance(rngs[0], gpuC, cpuC)
+					v := w + s.advance(rngs[0], gpuC, cpuC)
 					st.max, st.sum = v, v
 					continue
 				}
 				// Per-rank start offset: data pipeline wait, plus any
 				// injected transient stall. Fatal failures are only
 				// recorded here — the whole job restarts, so their cost is
-				// assembled globally in the sequential reduction.
+				// assembled globally in the reduction.
 				for i := range now {
-					w := dataWaits[(base+i)*o.Steps+step]
+					w := waits[(base+i)*steps+step]
 					if o.PerfectBalance {
 						w = 0
 					}
@@ -474,23 +558,23 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 				// March through sync intervals: advance each rank by its
 				// chunk, then sync within the group.
 				var comm time.Duration
-				for ev := 0; ev < syncEvents; ev++ {
+				for ev := 0; ev < s.SyncEvents; ev++ {
 					var mx time.Duration
 					for i := range now {
-						now[i] += advance(rngs[i], gpuChunks[i], cpuChunks[i])
+						now[i] += s.advance(rngs[i], gpuChunks[i], cpuChunks[i])
 						if now[i] > mx {
 							mx = now[i]
 						}
 					}
 					for i := range now {
 						comm += (mx - now[i]) / time.Duration(ranks)
-						now[i] = mx + evCost
+						now[i] = mx + s.evCost
 					}
 				}
 				// Remaining compute after the last sync.
 				var gmx, gsum time.Duration
 				for i := range now {
-					now[i] += advance(rngs[i], gpuChunks[i], cpuChunks[i])
+					now[i] += s.advance(rngs[i], gpuChunks[i], cpuChunks[i])
 					if now[i] > gmx {
 						gmx = now[i]
 					}
@@ -500,42 +584,38 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 			}
 		}
 	})
+	return stats
+}
 
-	// --- Sequential reduction: per step, assemble the global all-reduce
-	// barrier, the failure/restart accounting and the breakdown from the
-	// group contributions.
-	stepTimes := make([]time.Duration, 0, o.Steps)
-	stepComm := make([]time.Duration, 0, o.Steps)
-	stepData := make([]time.Duration, 0, o.Steps)
+// reduce is the sequential reduction: per step, it assembles the global
+// all-reduce barrier, the failure/restart accounting and the breakdown from
+// the group contributions.
+func (s *Skeleton) reduce(waits []time.Duration, stats []groupStep) Result {
+	o, steps := &s.Opts, s.Opts.Steps
+	ranks := time.Duration(s.Plan.TotalRanks)
+	stepTimes := make([]time.Duration, 0, steps)
+	stepComm := make([]time.Duration, 0, steps)
+	stepData := make([]time.Duration, 0, steps)
 	var total, useful, stallTotal time.Duration
 	var restarts int
 	restartCost := o.Perturb.RestartCostDur()
 	var bk Breakdown
-	var xferAcc time.Duration
-	if march {
-		xferAcc = time.Duration(syncEvents) * evCost
-	}
-	arCost := o.Topo.AllReduce(plan.DPWays, prog.GradBytes/float64(plan.Degree))
-	// Gradient clipping: bucketed clip hides under the all-reduce.
-	clipTime := time.Duration(prog.ClipKernels) * o.Arch.LaunchOverhead
-	visible, _ := comm.OverlapGradClip(arCost, clipTime)
-	clipExposed := visible - arCost
-	for step := 0; step < o.Steps; step++ {
+	for step := 0; step < steps; step++ {
 		var stepDataWait time.Duration
 		if !o.PerfectBalance {
-			for r := 0; r < ranks; r++ {
-				stepDataWait += dataWaits[r*o.Steps+step]
+			for r := 0; r < s.Plan.TotalRanks; r++ {
+				stepDataWait += waits[r*steps+step]
 			}
 		}
-		bk.DataWait += stepDataWait / time.Duration(ranks)
-		stepData = append(stepData, stepDataWait/time.Duration(ranks))
+		bk.DataWait += stepDataWait / ranks
+		stepData = append(stepData, stepDataWait/ranks)
 
 		// Data-parallel gradient all-reduce: global barrier over the
 		// group maxima.
 		var commWaitAcc, mx, sum time.Duration
 		var fails int
-		for g := 0; g < nGroups; g++ {
-			st := &stats[g*o.Steps+step]
+		for g := 0; g < s.Groups; g++ {
+			st := &stats[g*steps+step]
 			commWaitAcc += st.comm
 			if st.max > mx {
 				mx = st.max
@@ -544,9 +624,9 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 			fails += st.fails
 			stallTotal += st.stall
 		}
-		drWait := mx - sum/time.Duration(ranks)
+		drWait := mx - sum/ranks
 		commWaitAcc += drWait
-		stepEnd := mx + visible
+		stepEnd := mx + s.Visible
 
 		// A fatal rank failure loses the step: the job pays the failed
 		// attempt, one checkpoint-restart, and the replayed step. Several
@@ -561,19 +641,16 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 		stepTimes = append(stepTimes, stepWall)
 		stepComm = append(stepComm, commWaitAcc)
 		bk.CommWait += commWaitAcc
-		bk.CommXfer += xferAcc + arCost
-		bk.ClipExposed += clipExposed
-		bk.CPUExposed += cpuExposedStep
 	}
 
-	n := time.Duration(o.Steps)
-	bk.GPUCompute = gpuCompute
-	bk.SerialPart = serialPart
-	bk.CPUExposed /= n
+	n := time.Duration(steps)
+	bk.GPUCompute = s.GPUCompute
+	bk.SerialPart = s.SerialPart
+	bk.CPUExposed = s.CPUExposedStep
 	bk.DataWait /= n
-	bk.CommXfer /= n
+	bk.CommXfer = s.SyncXfer + s.AllReduce
 	bk.CommWait /= n
-	bk.ClipExposed /= n
+	bk.ClipExposed = s.ClipExposed
 	for _, sl := range [][]time.Duration{stepTimes, stepComm, stepData} {
 		sort.Slice(sl, func(i, j int) bool { return sl[i] < sl[j] })
 	}
@@ -585,7 +662,7 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 		goodput = float64(useful) / float64(total)
 	}
 	var stallShare float64
-	if perturbed && total > 0 {
+	if o.Perturb.Enabled() && total > 0 {
 		stallShare = float64(stallTotal) / (float64(ranks) * float64(total))
 	}
 	return Result{
@@ -593,8 +670,8 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 		MedianStep:   stepTimes[len(stepTimes)/2],
 		P99Step:      stepTimes[(len(stepTimes)*99+99)/100-1],
 		Break:        bk,
-		Plan:         plan,
-		GraphCapture: graphCapture,
+		Plan:         s.Plan,
+		GraphCapture: s.GraphCapture,
 		Restarts:     restarts,
 		StallShare:   stallShare,
 		Goodput:      goodput,

@@ -19,14 +19,24 @@ func baselineProg() *workload.Program {
 	return workload.Census(model.FullConfig(), workload.Baseline())
 }
 
+// mustSimulate is Simulate for a plan the test knows is valid.
+func mustSimulate(tb testing.TB, prog *workload.Program, ranks, dapDegree int, o Options) Result {
+	tb.Helper()
+	r, err := Simulate(prog, ranks, dapDegree, o)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
 func TestSimulateDeterministic(t *testing.T) {
 	p := baselineProg()
-	a := Simulate(p, 16, 1, quickOpts(5))
-	b := Simulate(p, 16, 1, quickOpts(5))
+	a := mustSimulate(t, p, 16, 1, quickOpts(5))
+	b := mustSimulate(t, p, 16, 1, quickOpts(5))
 	if a.MeanStep != b.MeanStep || a.MedianStep != b.MedianStep {
 		t.Fatal("same seed must reproduce")
 	}
-	c := Simulate(p, 16, 1, quickOpts(6))
+	c := mustSimulate(t, p, 16, 1, quickOpts(6))
 	if c.MeanStep == a.MeanStep {
 		t.Fatal("different seed should differ")
 	}
@@ -37,7 +47,7 @@ func TestH100BeatsA100(t *testing.T) {
 	oh := quickOpts(1)
 	oa := quickOpts(1)
 	oa.Arch = gpu.A100()
-	if Simulate(p, 16, 1, oh).MedianStep >= Simulate(p, 16, 1, oa).MedianStep {
+	if mustSimulate(t, p, 16, 1, oh).MedianStep >= mustSimulate(t, p, 16, 1, oa).MedianStep {
 		t.Fatal("H100 step must be faster than A100")
 	}
 }
@@ -49,7 +59,7 @@ func TestDAPReducesStepTimeWithDiminishingReturns(t *testing.T) {
 		co := quickOpts(1)
 		co.CUDAGraph = d > 1
 		co.NonBlockingPipeline = true
-		return Simulate(p, 16*d, d, co).MedianStep
+		return mustSimulate(t, p, 16*d, d, co).MedianStep
 	}
 	d1, d2, d4, d8 := mk(1), mk(2), mk(4), mk(8)
 	if !(d2 < d1 && d4 < d2 && d8 <= d4) {
@@ -66,8 +76,8 @@ func TestCUDAGraphRemovesCPUExposure(t *testing.T) {
 	plain := quickOpts(2)
 	graphed := quickOpts(2)
 	graphed.CUDAGraph = true
-	rp := Simulate(p, 16, 1, plain)
-	rg := Simulate(p, 16, 1, graphed)
+	rp := mustSimulate(t, p, 16, 1, plain)
+	rg := mustSimulate(t, p, 16, 1, graphed)
 	// Launch overhead disappears; only the Python-GC host stall remains
 	// until the Disable-GC optimization removes it too.
 	if rg.Break.CPUExposed*2 >= rp.Break.CPUExposed {
@@ -75,7 +85,7 @@ func TestCUDAGraphRemovesCPUExposure(t *testing.T) {
 	}
 	quiet := graphed
 	quiet.CPU.GCEnabled = false
-	rq := Simulate(p, 16, 1, quiet)
+	rq := mustSimulate(t, p, 16, 1, quiet)
 	if rq.Break.CPUExposed*10 >= rp.Break.CPUExposed {
 		t.Fatalf("graphs+no-GC must nearly eliminate CPU exposure: %v", rq.Break.CPUExposed)
 	}
@@ -96,8 +106,8 @@ func TestNonBlockingPipelineReducesDataWait(t *testing.T) {
 	blocking.Steps = 6
 	nonBlocking := blocking
 	nonBlocking.NonBlockingPipeline = true
-	rb := Simulate(p, 64, 8, blocking)
-	rn := Simulate(p, 64, 8, nonBlocking)
+	rb := mustSimulate(t, p, 64, 8, blocking)
+	rn := mustSimulate(t, p, 64, 8, nonBlocking)
 	if rn.Break.DataWait > rb.Break.DataWait {
 		t.Fatalf("non-blocking pipeline must not wait more: %v vs %v", rn.Break.DataWait, rb.Break.DataWait)
 	}
@@ -110,8 +120,8 @@ func TestPerfectBalanceRemovesCommWait(t *testing.T) {
 	noisy := quickOpts(4)
 	balanced := quickOpts(4)
 	balanced.PerfectBalance = true
-	rn := Simulate(p, 32, 4, noisy)
-	rb := Simulate(p, 32, 4, balanced)
+	rn := mustSimulate(t, p, 32, 4, noisy)
+	rb := mustSimulate(t, p, 32, 4, balanced)
 	if rb.Break.CommWait >= rn.Break.CommWait && rn.Break.CommWait > 0 {
 		t.Fatal("perfect balance must reduce straggler waits")
 	}
@@ -122,10 +132,10 @@ func TestPerfectBalanceRemovesCommWait(t *testing.T) {
 
 func TestZeroSerialRemovesSerialTime(t *testing.T) {
 	p := baselineProg()
-	normal := Simulate(p, 16, 1, quickOpts(5))
+	normal := mustSimulate(t, p, 16, 1, quickOpts(5))
 	ablate := quickOpts(5)
 	ablate.ZeroSerial = true
-	ablated := Simulate(p, 16, 1, ablate)
+	ablated := mustSimulate(t, p, 16, 1, ablate)
 	if ablated.Break.SerialPart != 0 {
 		t.Fatal("ZeroSerial must remove serial groups")
 	}
@@ -138,10 +148,10 @@ func TestFlatEfficiencySpeedsUpDAPKernels(t *testing.T) {
 	o := workload.Baseline()
 	o.DAP = 8
 	p := workload.Census(model.FullConfig(), o)
-	normal := Simulate(p, 16, 8, quickOpts(6))
+	normal := mustSimulate(t, p, 16, 8, quickOpts(6))
 	flat := quickOpts(6)
 	flat.FlatEfficiency = true
-	flattened := Simulate(p, 16, 8, flat)
+	flattened := mustSimulate(t, p, 16, 8, flat)
 	if flattened.Break.GPUCompute >= normal.Break.GPUCompute {
 		t.Fatal("flat efficiency must speed up DAP-shrunk kernels")
 	}
@@ -151,27 +161,24 @@ func TestZeroCommVolume(t *testing.T) {
 	o := workload.Baseline()
 	o.DAP = 4
 	p := workload.Census(model.FullConfig(), o)
-	normal := Simulate(p, 32, 4, quickOpts(7))
+	normal := mustSimulate(t, p, 32, 4, quickOpts(7))
 	free := quickOpts(7)
 	free.ZeroCommVolume = true
-	freed := Simulate(p, 32, 4, free)
+	freed := mustSimulate(t, p, 32, 4, free)
 	if freed.Break.CommXfer >= normal.Break.CommXfer {
 		t.Fatal("zero comm volume must reduce transfer time")
 	}
 }
 
-func TestInvalidPlanPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for bad DAP plan")
-		}
-	}()
-	Simulate(baselineProg(), 10, 4, quickOpts(1))
+func TestInvalidPlanErrors(t *testing.T) {
+	if _, err := Simulate(baselineProg(), 10, 4, quickOpts(1)); err == nil {
+		t.Fatal("expected an error for a bad DAP plan")
+	}
 }
 
 func TestBreakdownComponentsRoughlySumToStep(t *testing.T) {
 	p := baselineProg()
-	r := Simulate(p, 16, 1, quickOpts(8))
+	r := mustSimulate(t, p, 16, 1, quickOpts(8))
 	sum := r.Break.GPUCompute + r.Break.CPUExposed + r.Break.DataWait +
 		r.Break.CommXfer + r.Break.CommWait + r.Break.ClipExposed
 	// The mean step equals the components up to jitter (<15%).
@@ -188,7 +195,7 @@ func TestMedianRobustToStalls(t *testing.T) {
 	co := quickOpts(9)
 	co.CUDAGraph = true
 	co.Steps = 6
-	r := Simulate(p, 256, 8, co)
+	r := mustSimulate(t, p, 256, 8, co)
 	if float64(r.MedianStep) > 1.15*float64(r.MeanStep) {
 		t.Fatalf("median %v should not far exceed mean %v", r.MedianStep, r.MeanStep)
 	}
@@ -199,8 +206,8 @@ func TestGCDisableHelps(t *testing.T) {
 	on := quickOpts(10)
 	off := quickOpts(10)
 	off.CPU.GCEnabled = false
-	ron := Simulate(p, 16, 1, on)
-	roff := Simulate(p, 16, 1, off)
+	ron := mustSimulate(t, p, 16, 1, on)
+	roff := mustSimulate(t, p, 16, 1, off)
 	if roff.Break.CPUExposed >= ron.Break.CPUExposed {
 		t.Fatal("disabling GC must reduce CPU exposure")
 	}

@@ -37,11 +37,11 @@ func TestSimulateParallelDeterminism(t *testing.T) {
 			if tc.tweak != nil {
 				tc.tweak(&opts)
 			}
-			base := Simulate(prog, tc.ranks, tc.dapN, opts)
+			base := mustSimulate(t, prog, tc.ranks, tc.dapN, opts)
 			for _, w := range []int{1, 4, 8} {
 				po := opts
 				po.SimWorkers = w
-				if got := Simulate(prog, tc.ranks, tc.dapN, po); got != base {
+				if got := mustSimulate(t, prog, tc.ranks, tc.dapN, po); got != base {
 					t.Fatalf("SimWorkers=%d diverged from serial:\n got %+v\nwant %+v", w, got, base)
 				}
 			}
@@ -90,11 +90,11 @@ func TestSimulatePerturbedDeterminism(t *testing.T) {
 				if sh.tweak != nil {
 					sh.tweak(&opts)
 				}
-				base := Simulate(prog, sh.ranks, sh.dapN, opts)
+				base := mustSimulate(t, prog, sh.ranks, sh.dapN, opts)
 				for _, w := range []int{1, 4, 8} {
 					po := opts
 					po.SimWorkers = w
-					if got := Simulate(prog, sh.ranks, sh.dapN, po); got != base {
+					if got := mustSimulate(t, prog, sh.ranks, sh.dapN, po); got != base {
 						t.Fatalf("SimWorkers=%d diverged from serial:\n got %+v\nwant %+v", w, got, base)
 					}
 				}
@@ -115,7 +115,7 @@ func TestSimulateStepLoopAllocFree(t *testing.T) {
 		o := quickOpts(3)
 		o.Steps = steps
 		return testing.AllocsPerRun(3, func() {
-			_ = Simulate(prog, 16, 4, o)
+			mustSimulate(t, prog, 16, 4, o)
 		})
 	}
 	small, large := measure(4), measure(24)
@@ -144,7 +144,7 @@ func BenchmarkSimulateSimWorkers(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				o.Seed = int64(i + 1)
-				_ = Simulate(prog, 256, 8, o)
+				mustSimulate(b, prog, 256, 8, o)
 			}
 		})
 	}

@@ -23,10 +23,10 @@ func TestSimulateZeroPerturbIsByteIdentical(t *testing.T) {
 		{"noop-restart-only", perturb.Spec{RestartCost: 600}}, // zero fail prob
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clean := Simulate(prog, 16, 4, quickOpts(5))
+			clean := mustSimulate(t, prog, 16, 4, quickOpts(5))
 			o := quickOpts(5)
 			o.Perturb = tc.spec
-			if got := Simulate(prog, 16, 4, o); got != clean {
+			if got := mustSimulate(t, prog, 16, 4, o); got != clean {
 				t.Fatalf("no-op perturbation changed the Result:\n got %+v\nwant %+v", got, clean)
 			}
 		})
@@ -37,7 +37,7 @@ func TestSimulateZeroPerturbIsByteIdentical(t *testing.T) {
 // Result fields: goodput exactly 1, no restarts, no stall share, and a
 // P99Step consistent with the sorted step times (the max for short runs).
 func TestSimulateHealthyMetrics(t *testing.T) {
-	r := Simulate(baselineProg(), 16, 4, quickOpts(9))
+	r := mustSimulate(t, baselineProg(), 16, 4, quickOpts(9))
 	if r.Goodput != 1 {
 		t.Errorf("healthy goodput = %v, want exactly 1", r.Goodput)
 	}
@@ -56,11 +56,11 @@ func TestSimulateFailuresDegradeGoodput(t *testing.T) {
 	prog := baselineProg()
 	o := quickOpts(5)
 	o.Perturb = perturb.Spec{FailProb: 1, RestartCost: 60}
-	r := Simulate(prog, 16, 4, o)
+	r := mustSimulate(t, prog, 16, 4, o)
 	if r.Restarts != o.Steps {
 		t.Fatalf("certain failure must restart every step: got %d of %d", r.Restarts, o.Steps)
 	}
-	clean := Simulate(prog, 16, 4, quickOpts(5))
+	clean := mustSimulate(t, prog, 16, 4, quickOpts(5))
 	// Each step pays the failed attempt + restart + replay: wall = 2*step +
 	// 60s. MeanStep truncates the per-step division, so allow the 1ns
 	// rounding slack of comparing means instead of totals.
@@ -83,10 +83,10 @@ func TestSimulateFailuresDegradeGoodput(t *testing.T) {
 // runs share execution-jitter streams, so the difference is pure injection.
 func TestSimulateStallsInflateStepsAndShare(t *testing.T) {
 	prog := baselineProg()
-	clean := Simulate(prog, 16, 4, quickOpts(7))
+	clean := mustSimulate(t, prog, 16, 4, quickOpts(7))
 	o := quickOpts(7)
 	o.Perturb = perturb.Spec{StallRate: 2, StallMean: 5}
-	r := Simulate(prog, 16, 4, o)
+	r := mustSimulate(t, prog, 16, 4, o)
 	if r.MeanStep <= clean.MeanStep {
 		t.Fatalf("stalls did not lengthen the step: %v vs clean %v", r.MeanStep, clean.MeanStep)
 	}
@@ -103,10 +103,10 @@ func TestSimulateStallsInflateStepsAndShare(t *testing.T) {
 // straggler-only spec keeps goodput at 1 (nothing is lost, just slow).
 func TestSimulateStragglersSlowTheBarrier(t *testing.T) {
 	prog := baselineProg()
-	clean := Simulate(prog, 16, 4, quickOpts(3))
+	clean := mustSimulate(t, prog, 16, 4, quickOpts(3))
 	o := quickOpts(3)
 	o.Perturb = perturb.Spec{SlowdownProb: 1, SlowdownFactor: 4}
-	r := Simulate(prog, 16, 4, o)
+	r := mustSimulate(t, prog, 16, 4, o)
 	if r.MeanStep <= clean.MeanStep {
 		t.Fatalf("stragglers did not slow the step: %v vs clean %v", r.MeanStep, clean.MeanStep)
 	}

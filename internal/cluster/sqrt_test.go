@@ -87,7 +87,7 @@ func TestSimulatePinnedResults(t *testing.T) {
 		if tc.mut != nil {
 			tc.mut(&o)
 		}
-		r := Simulate(workload.Census(model.FullConfig(), tc.cen), tc.ranks, tc.dap, o)
+		r := mustSimulate(t, workload.Census(model.FullConfig(), tc.cen), tc.ranks, tc.dap, o)
 		got := pin{
 			int64(r.MeanStep), int64(r.MedianStep), int64(r.Break.GPUCompute),
 			int64(r.Break.CPUExposed), int64(r.Break.DataWait), int64(r.Break.CommXfer),

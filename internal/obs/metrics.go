@@ -2,9 +2,8 @@
 // dependency-free metrics layer (atomic counters, gauges and fixed-bucket
 // latency histograms, grouped in a named Registry with Prometheus text
 // exposition) plus a span recorder that captures lifecycle timelines as
-// Chrome trace-event JSON — the exact format cluster.Timeline already emits,
-// so a job's fabric-level trace and a cell's step-level timeline open in the
-// same Perfetto UI.
+// Chrome trace-event JSON, so a job's fabric-level trace opens in
+// chrome://tracing or Perfetto.
 //
 // Every type is nil-tolerant: methods on nil receivers are allocation-free
 // no-ops, so instrumented code paths need no conditionals — an uninstrumented

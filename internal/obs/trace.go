@@ -8,11 +8,9 @@ import (
 )
 
 // TraceEvent is one span in a recorded timeline, in the Chrome trace-event
-// format ("ph":"X" complete events, plus "ph":"M" metadata for lane names).
-// It is field-for-field the format cluster.TraceEvent already emits for a
-// simulated step, extended with the optional Args map the format defines —
-// so a job's fabric-level trace and a cell's step-level timeline open in the
-// same chrome://tracing or Perfetto UI.
+// format ("ph":"X" complete events, plus "ph":"M" metadata for lane names),
+// with the optional Args map the format defines — so a job's fabric-level
+// trace opens in chrome://tracing or Perfetto.
 type TraceEvent struct {
 	Name string            `json:"name"`
 	Cat  string            `json:"cat,omitempty"`
@@ -91,9 +89,8 @@ func (t *Tracer) Events() []TraceEvent {
 	return append([]TraceEvent(nil), t.events...)
 }
 
-// WriteChromeTrace serializes the snapshot as a Chrome trace JSON array —
-// the same shape cluster.Timeline.WriteChromeTrace emits. A nil Tracer
-// writes an empty array.
+// WriteChromeTrace serializes the snapshot as a Chrome trace JSON array. A
+// nil Tracer writes an empty array.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	events := t.Events()
 	if events == nil {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/curve"
 	"repro/internal/mlperf"
-	"repro/internal/workload"
 )
 
 // Fig9Bar is one stacked bar of Figure 9.
@@ -85,9 +84,4 @@ func Figure11(r *Resolver) (curve.Schedule, curve.Result) {
 
 	sched := curve.PaperSchedule(step128, step256)
 	return sched, sched.Pretrain()
-}
-
-// KernelCensus exposes the baseline census for the Table 1 CLI output.
-func KernelCensus() *workload.Program {
-	return workload.Census(fullModelConfig(), workload.Baseline())
 }

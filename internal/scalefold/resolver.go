@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 // Source names how Resolve satisfied a cell. Cell spans and fabric complete
@@ -107,7 +108,7 @@ func StoreHit(st store.Store[cluster.Result], key string) (cluster.Result, bool)
 // estimate, a Remote dispatch or an exact simulation per the cell's
 // (resolved) mode, written through to the store. It fails when ctx is done
 // before the cell starts, when the scenario does not lower (a platform this
-// build lacks, say) and when Remote fails.
+// build lacks, say) or simulate, and when Remote fails.
 func (r *Resolver) Resolve(ctx context.Context, c StepConfig) (res cluster.Result, src Source, err error) {
 	if r.Slots != nil {
 		select {
@@ -161,7 +162,9 @@ func (r *Resolver) Resolve(ctx context.Context, c StepConfig) (res cluster.Resul
 		if err != nil {
 			return cluster.Result{}, "", err
 		}
-		res = cluster.Simulate(censusFor(c.Census), c.Ranks, c.DAP, o)
+		if res, err = cluster.Simulate(workload.Full(c.Census), c.Ranks, c.DAP, o); err != nil {
+			return cluster.Result{}, "", err
+		}
 		r.m().Simulated.Add(1)
 		src = FromSimulator
 	}

@@ -23,7 +23,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/gpu"
-	"repro/internal/model"
 	"repro/internal/scenario"
 	"repro/internal/store"
 	"repro/internal/sweep"
@@ -43,23 +42,6 @@ type StepConfig struct {
 // Ablations lists the recognized ablation values ("none" plus the Figure 3
 // barrier switches); it aliases the scenario layer's canonical list.
 var Ablations = scenario.Ablations
-
-func fullModelConfig() model.Config { return model.FullConfig() }
-
-// censusCache memoizes kernel censuses by their options. A census is a pure
-// deterministic derivation of the (fixed) model config, read-only once
-// built, so sharing one *workload.Program across simulations is safe and
-// saves the census rebuild on every cell that varies only seed or ablation.
-// It is the package's one piece of process-wide state: results are never
-// memoized process-wide (see Resolver).
-var censusCache = sweep.NewCache[*workload.Program]()
-
-func censusFor(cen workload.Options) *workload.Program {
-	prog, _ := censusCache.Do(scenario.CanonicalCensus(cen), func() *workload.Program {
-		return workload.Census(fullModelConfig(), cen)
-	})
-	return prog
-}
 
 // RunVia resolves the configuration against st — a store hit, else a
 // simulation (or estimate) written through — counting on m: Resolve on a
@@ -292,14 +274,14 @@ func figure3Config(dapN int) StepConfig {
 // same quantities directly).
 func figure3Bars(dapN int, res cluster.Result) []Barrier {
 	c := figure3Config(dapN)
-	prog := censusFor(c.Census)
+	prog := workload.Full(c.Census)
 
 	// Poor kernel scalability: the extra time DAP-shrunk kernels take
 	// beyond perfect 1/n scaling of their DAP-1 durations, caused by
 	// falling down the bandwidth-efficiency curve.
 	cen1 := c.Census
 	cen1.DAP = 1
-	prog1 := censusFor(cen1)
+	prog1 := workload.Full(cen1)
 	platform, err := scenario.PlatformByName(c.Platform)
 	if err != nil {
 		panic("scalefold: unvalidated scenario reached the simulator: " + err.Error())
@@ -394,7 +376,7 @@ type Table1Row struct {
 
 // Table1 measures the kernel-category breakdown on the A100 baseline.
 func Table1() []Table1Row {
-	prog := workload.Census(model.FullConfig(), workload.Baseline())
+	prog := workload.Full(workload.Baseline())
 	arch := gpu.A100()
 	tot := prog.Totals()
 	var times [3]time.Duration

@@ -1,8 +1,13 @@
 package scalefold
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/cluster"
@@ -14,6 +19,8 @@ import (
 // the CLI's `scalefold all` store does, so a cell one figure resolved (the
 // A100 reference step, the DAP-8 flagship) is a store hit for the next.
 var figures = &Resolver{Store: store.NewMem[cluster.Result]()}
+
+var update = flag.Bool("update", false, "rewrite the figures golden file")
 
 // skipIfShort skips figure-scale simulations under -short: the race-checked
 // CI job runs `go test -race -short ./...` for concurrency coverage (sweep
@@ -295,5 +302,49 @@ func TestStepConfigDeterministic(t *testing.T) {
 	b := figures.must(Figure7Config("H100", 128, 1)).MedianStep.Seconds()
 	if a != b {
 		t.Fatal("config runs must be reproducible")
+	}
+}
+
+// TestFiguresPinned pins every value the figure runners return to
+// testdata/figures.golden, so a refactor of the simulator, the estimator or
+// the census memo that moves one bit of a reproduced figure fails here
+// instead of in a manual diff of CLI output. It reads through the shared
+// figures Resolver, so after the shape tests above every cell is a store
+// hit. Regenerate deliberately with
+// `go test ./internal/scalefold -run FiguresPinned -update`.
+func TestFiguresPinned(t *testing.T) {
+	skipIfShort(t)
+	sched, pretrain := Figure11(figures)
+	got, err := json.MarshalIndent(map[string]any{
+		"table1":           Table1(),
+		"figure3":          Figure3All(figures),
+		"figure7":          Figure7(figures),
+		"figure8":          Ladder(figures),
+		"baseline_dap":     BaselineDAPSpeedups(figures),
+		"figure9":          Figure9(figures),
+		"figure10":         Figure10(figures),
+		"figure11_sched":   sched,
+		"figure11_outcome": pretrain,
+	}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", "figures.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (generate with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("figure values drifted from %s:\n--- want ---\n%s\n--- got ---\n%s", path, want, got)
 	}
 }

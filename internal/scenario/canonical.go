@@ -146,8 +146,10 @@ func (s Scenario) Canonical() string {
 	return b.String()
 }
 
-// CanonicalCensus is the explicit encoding of the kernel-census options,
-// shared by Canonical and the census memo in package scalefold.
+// CanonicalCensus is the explicit encoding of the kernel-census options
+// inside Canonical. It encodes exactly the ten workload.Options fields, so
+// two census options encode equal exactly when they are equal values — which
+// is why the census memo, workload.Full, can key by the value itself.
 func CanonicalCensus(o workload.Options) string {
 	return fmt.Sprintf(
 		"census{fused_mha=%s;fused_ln=%s;fused_adam_swa=%s;batched_gemm=%s;torch_compile=%s;bf16=%s;grad_ckpt=%s;recycles=%d;dap=%d;bucketed_clip=%s}",

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/obs"
 )
 
@@ -77,9 +76,9 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestTraceEndpoint proves the trace export contract: the download is valid
-// Chrome trace-event JSON that unmarshals into the simulator's own
-// cluster.TraceEvent shape, and the job's spans cover every cell exactly
-// once with local-engine attribution (no fabric configured here).
+// Chrome trace-event JSON that unmarshals into obs.TraceEvent, and the job's
+// spans cover every cell exactly once with local-engine attribution (no
+// fabric configured here).
 func TestTraceEndpoint(t *testing.T) {
 	_, c, stop := newTestServer(t, Config{Workers: 1})
 	defer stop()
@@ -104,12 +103,6 @@ func TestTraceEndpoint(t *testing.T) {
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Format compatibility: the export decodes into the step-level trace
-	// type the simulator already emits (obs.TraceEvent only adds args).
-	var compat []cluster.TraceEvent
-	if err := json.Unmarshal(raw, &compat); err != nil {
-		t.Fatalf("trace does not decode as []cluster.TraceEvent: %v", err)
 	}
 	var events []obs.TraceEvent
 	if err := json.Unmarshal(raw, &events); err != nil {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/comm"
 	"repro/internal/model"
@@ -23,6 +24,30 @@ const ParamTensors = 4400
 
 // ParamCount is the AlphaFold parameter count (97M).
 const ParamCount = 97e6
+
+// fullCensus memoizes Full per Options value. Options is comparable and
+// its ten fields are exactly what a census depends on, so the value itself
+// is the key.
+var fullCensus sync.Map // Options -> *fullEntry
+
+type fullEntry struct {
+	once sync.Once
+	prog *Program
+}
+
+// Full returns the census of the paper-scale model (model.FullConfig) under
+// o, built once per distinct Options value for the life of the process. A
+// census is a pure derivation of the fixed model config, so every caller
+// shares the one *Program; callers must treat it as read-only.
+func Full(o Options) *Program {
+	e, ok := fullCensus.Load(o)
+	if !ok {
+		e, _ = fullCensus.LoadOrStore(o, new(fullEntry))
+	}
+	ent := e.(*fullEntry)
+	ent.once.Do(func() { ent.prog = Census(model.FullConfig(), o) })
+	return ent.prog
+}
 
 // Census builds the full step Program for the given model geometry and
 // optimization options. Geometry should be model.FullConfig() for the

@@ -28,37 +28,3 @@ func (p *Program) TotalCalls() int {
 	}
 	return n
 }
-
-// SerialShareBytes returns the fraction of bytes in serial (non-DAP) groups.
-func (p *Program) SerialShareBytes() float64 {
-	var serial, total float64
-	for _, g := range p.Groups {
-		total += g.Bytes
-		if g.Serial {
-			serial += g.Bytes
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return serial / total
-}
-
-// AutoFuse applies torch.compile-style automatic fusion to a program that
-// was built without the TorchCompile option: every Fusable group has its
-// launches merged ~3:1 and its traffic halved (fused elementwise chains
-// read inputs once). This mirrors §3.3.2; the preferred path is building the
-// census with Options.TorchCompile=true, which applies per-module scopes —
-// AutoFuse exists to fuse an *existing* program, e.g. for scope-control
-// experiments.
-func AutoFuse(p *Program) *Program {
-	out := &Program{Syncs: p.Syncs, GradBytes: p.GradBytes, ClipKernels: p.ClipKernels, OptKernels: p.OptKernels}
-	for _, g := range p.Groups {
-		if g.Fusable {
-			g.Calls = (g.Calls + 2) / 3
-			g.Bytes /= 2
-		}
-		out.Groups = append(out.Groups, g)
-	}
-	return out
-}

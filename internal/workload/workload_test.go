@@ -176,22 +176,6 @@ func TestTorchCompileShrinksFusableGroups(t *testing.T) {
 	}
 }
 
-func TestAutoFuse(t *testing.T) {
-	p := baseline()
-	fused := AutoFuse(p)
-	if fused.TotalCalls() >= p.TotalCalls() {
-		t.Fatal("AutoFuse must reduce launches")
-	}
-	// Non-fusable groups untouched.
-	for i, g := range p.Groups {
-		if !g.Fusable {
-			if fused.Groups[i].Calls != g.Calls || fused.Groups[i].Bytes != g.Bytes {
-				t.Fatal("AutoFuse must not touch non-fusable groups")
-			}
-		}
-	}
-}
-
 func TestPerCallHelpers(t *testing.T) {
 	g := Group{Calls: 4, Flops: 8, Bytes: 16}
 	if g.PerCallFlops() != 2 || g.PerCallBytes() != 4 {
@@ -200,13 +184,6 @@ func TestPerCallHelpers(t *testing.T) {
 	z := Group{}
 	if z.PerCallFlops() != 0 || z.PerCallBytes() != 0 {
 		t.Fatal("zero-call group")
-	}
-}
-
-func TestSerialShare(t *testing.T) {
-	s := baseline().SerialShareBytes()
-	if s <= 0 || s >= 0.5 {
-		t.Fatalf("serial byte share %v, want small but nonzero", s)
 	}
 }
 
