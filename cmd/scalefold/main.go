@@ -107,11 +107,8 @@ func main() {
 	if !ok && cmd != "all" {
 		os.Exit(unknownCommand(os.Stderr, cmd))
 	}
-	// Figure commands (and `all`) resolve through one Resolver. Its store is
-	// an in-memory one, so a cell shared by several figures simulates once;
-	// with -store it is the persistent store instead, so cells shared with
-	// earlier figure runs, `sweep -store` invocations or server jobs are not
-	// re-simulated either.
+	// Figure commands (and `all`) resolve through one Resolver, so a cell
+	// several figures share resolves once.
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	storeDir := fs.String("store", "", `persistent result-store directory ("" = off)`)
 	var args []string
@@ -119,17 +116,8 @@ func main() {
 		args = os.Args[2:]
 	}
 	fs.Parse(args)
-	r := &scalefold.Resolver{Store: store.NewMem[cluster.Result]()}
-	if *storeDir != "" {
-		ds, err := store.OpenDisk[cluster.Result](*storeDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", cmd, err)
-			os.Exit(2)
-		}
-		defer ds.Close()
-		r.Store = ds
-		r.OnStoreErr = func(err error) { fmt.Fprintf(os.Stderr, "%s: store: %v\n", cmd, err) }
-	}
+	r, closeStore := localResolver(cmd, *storeDir)
+	defer closeStore()
 	if cmd == "all" {
 		for _, name := range allRunners {
 			runners[name](r)
@@ -150,6 +138,73 @@ func unknownCommand(w io.Writer, cmd string) int {
 	}
 	fmt.Fprintln(w, "\nRun `scalefold help` for the full reference.")
 	return 2
+}
+
+// localResolver builds the Resolver an in-process command resolves its
+// cells through, counting into fresh metrics. Its store is in memory; with
+// a -store directory it is that persistent store instead, so cells stored
+// by earlier runs, sweeps or server jobs are not resolved again, and every
+// failed store write is reported on stderr. The returned func closes the
+// store.
+func localResolver(cmd, dir string) (*scalefold.Resolver, func()) {
+	r := &scalefold.Resolver{Store: store.NewMem[cluster.Result](), Metrics: &scalefold.SweepMetrics{}}
+	if dir == "" {
+		return r, func() {}
+	}
+	ds, err := store.OpenDisk[cluster.Result](dir)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", cmd, err)
+		os.Exit(2)
+	}
+	storeErr := func(err error) { fmt.Fprintf(os.Stderr, "%s: store: %v\n", cmd, err) }
+	r.Store, r.OnStoreErr = ds, storeErr
+	return r, func() {
+		if err := ds.Close(); err != nil {
+			storeErr(err)
+		}
+	}
+}
+
+// progress returns a local sweep's stderr progress printer; nil under
+// -quiet.
+func progress(quiet bool) func(sweep.Progress) {
+	if quiet {
+		return nil
+	}
+	return func(ev sweep.Progress) {
+		note := ""
+		if ev.Cached {
+			note = " (memoized)"
+		}
+		fmt.Fprintf(os.Stderr, "[%3d/%3d] %s%s (%v)\n",
+			ev.Done, ev.Total, ev.Label, note, ev.Elapsed.Round(time.Millisecond))
+	}
+}
+
+// writeOutput writes one of cmd's outputs to path: "-" is stdout, "" skips
+// it. Failures exit 2.
+func writeOutput(cmd, path, kind string, write func(io.Writer) error) {
+	var err error
+	switch path {
+	case "":
+		return
+	case "-":
+		err = write(os.Stdout)
+	default:
+		f, cerr := os.Create(path)
+		if cerr != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", cmd, cerr)
+			os.Exit(2)
+		}
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: writing %s: %v\n", cmd, kind, err)
+		os.Exit(2)
+	}
 }
 
 // parseIntList converts a comma-separated flag value to ints.
@@ -180,15 +235,15 @@ type axisFlags struct {
 }
 
 func addAxisFlags(fs *flag.FlagSet) *axisFlags {
+	d := scalefold.DefaultSweepSpec()
 	return &axisFlags{
-		arch: fs.String("arch", "H100",
+		arch: fs.String("arch", strings.Join(d.Arches, ","),
 			"comma-separated platform profiles ("+strings.Join(scenario.PlatformNames(), ", ")+")"),
-		ranks: fs.String("ranks", "256", "comma-separated GPU counts"),
-		dap:   fs.String("dap", "1,2,4,8", "comma-separated DAP widths"),
-		ablate: fs.String("ablate", "none,zero-launch,perfect-balance,zero-serial,flat-efficiency,zero-comm",
-			"comma-separated barrier ablations"),
-		seeds:   fs.Int("seeds", 1, "seed replicas per scenario"),
-		profile: fs.String("profile", "scalefold", "base config: scalefold, baseline or fastfold"),
+		ranks:   fs.String("ranks", joinInts(d.Ranks), "comma-separated GPU counts"),
+		dap:     fs.String("dap", joinInts(d.DAPs), "comma-separated DAP widths"),
+		ablate:  fs.String("ablate", strings.Join(d.Ablations, ","), "comma-separated barrier ablations"),
+		seeds:   fs.Int("seeds", d.Seeds, "seed replicas per scenario"),
+		profile: fs.String("profile", d.Profile, "base config: scalefold, baseline or fastfold"),
 		scenarios: fs.String("scenarios", "",
 			`JSON file of explicit scenario descriptors ("-" = stdin); supersedes the axis flags`),
 		steps:   fs.Int("steps", 0, "simulated steps per cell (0 = simulator default)"),
@@ -285,24 +340,9 @@ func (a *axisFlags) scenarioList(cmd string) []scenario.Scenario {
 	return list
 }
 
-func (a *axisFlags) jobSpec(cmd string) service.JobSpec {
-	return service.JobSpec{
-		Profile:    *a.profile,
-		Arches:     sweep.ParseList(*a.arch),
-		Ranks:      parseIntList(cmd, "ranks", *a.ranks),
-		DAPs:       parseIntList(cmd, "dap", *a.dap),
-		Ablations:  sweep.ParseList(*a.ablate),
-		Seeds:      *a.seeds,
-		Steps:      *a.steps,
-		Workers:    *a.workers,
-		SimWorkers: *a.simWorkers,
-		Perturb:    parsePerturb(cmd, *a.perturb),
-		Mode:       parseMode(cmd, *a.mode),
-		Scenarios:  a.scenarioList(cmd),
-	}
-}
-
-func (a *axisFlags) sweepSpec(cmd string) scalefold.SweepSpec {
+// spec parses the flags into the one sweep spec `sweep` runs and `submit`
+// posts as its job.
+func (a *axisFlags) spec(cmd string) scalefold.SweepSpec {
 	return scalefold.SweepSpec{
 		Profile:    *a.profile,
 		Arches:     sweep.ParseList(*a.arch),
@@ -334,39 +374,19 @@ future sweeps, jobs and figure runs`)
 		os.Exit(2)
 	}
 
-	spec := axes.sweepSpec("sweep")
-	var met scalefold.SweepMetrics
-	spec.Resolver = &scalefold.Resolver{Metrics: &met}
-	if *storeDir != "" {
-		ds, err := store.OpenDisk[cluster.Result](*storeDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(2)
-		}
-		defer ds.Close()
-		spec.Resolver.Store = ds
-		spec.Resolver.OnStoreErr = func(err error) { fmt.Fprintf(os.Stderr, "sweep: store: %v\n", err) }
-	}
-	var progress func(sweep.Progress)
-	if !*quiet {
-		progress = func(ev sweep.Progress) {
-			note := ""
-			if ev.Cached {
-				note = " (memoized)"
-			}
-			fmt.Fprintf(os.Stderr, "[%3d/%3d] %s%s (%v)\n",
-				ev.Done, ev.Total, ev.Label, note, ev.Elapsed.Round(time.Millisecond))
-		}
-	}
+	spec := axes.spec("sweep")
+	var closeStore func()
+	spec.Resolver, closeStore = localResolver("sweep", *storeDir)
+	defer closeStore()
 	t0 := time.Now()
-	rows, err := spec.Run(context.Background(), progress)
+	rows, err := spec.Run(context.Background(), progress(*quiet))
 	if err != nil {
 		// Grid errors already carry the "sweep:" package prefix.
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(2)
 	}
 	if !*quiet {
-		runSummary("sweep", len(rows), &met, time.Since(t0))
+		runSummary("sweep", len(rows), spec.Resolver.Metrics, time.Since(t0))
 	}
 	for _, r := range rows {
 		if r.SkipReason != "" {
@@ -374,27 +394,8 @@ future sweeps, jobs and figure runs`)
 		}
 	}
 	tab := scalefold.SweepTable(rows)
-	emit := func(path, kind string, write func(*os.File) error) {
-		if path == "" {
-			return
-		}
-		out := os.Stdout
-		if path != "-" {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-				os.Exit(2)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := write(out); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: writing %s: %v\n", kind, err)
-			os.Exit(2)
-		}
-	}
-	emit(*csvPath, "csv", func(f *os.File) error { return tab.WriteCSV(f) })
-	emit(*jsonPath, "json", func(f *os.File) error { return tab.WriteJSON(f) })
+	writeOutput("sweep", *csvPath, "csv", tab.WriteCSV)
+	writeOutput("sweep", *jsonPath, "json", tab.WriteJSON)
 }
 
 // newLogger maps a -log-level flag value to a structured text logger on
@@ -452,8 +453,8 @@ func parseFloatList(cmd, flagName, s string) []float64 {
 	return out
 }
 
-// joinInts/joinFloats render DefaultResilienceSpec's axes as flag defaults,
-// so the CLI and the library default cannot drift apart.
+// joinInts/joinFloats render the default specs' axes as flag defaults, so
+// the CLI and the library defaults cannot drift apart.
 func joinInts(vs []int) string {
 	parts := make([]string, len(vs))
 	for i, v := range vs {
@@ -508,54 +509,19 @@ bounds straddle the resilience cliff`)
 		SimWorkers:  *simWorkers,
 		Mode:        parseMode("resilience", *modeFlag),
 	}
-	var met scalefold.SweepMetrics
-	spec.Resolver = &scalefold.Resolver{Metrics: &met}
-	if *storeDir != "" {
-		ds, err := store.OpenDisk[cluster.Result](*storeDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "resilience: %v\n", err)
-			os.Exit(2)
-		}
-		defer ds.Close()
-		spec.Resolver.Store = ds
-	}
-	var progress func(sweep.Progress)
-	if !*quiet {
-		progress = func(ev sweep.Progress) {
-			note := ""
-			if ev.Cached {
-				note = " (memoized)"
-			}
-			fmt.Fprintf(os.Stderr, "[%3d/%3d] %s%s (%v)\n",
-				ev.Done, ev.Total, ev.Label, note, ev.Elapsed.Round(time.Millisecond))
-		}
-	}
+	var closeStore func()
+	spec.Resolver, closeStore = localResolver("resilience", *storeDir)
+	defer closeStore()
 	t0 := time.Now()
-	rows, err := spec.Run(context.Background(), progress)
+	rows, err := spec.Run(context.Background(), progress(*quiet))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(2)
 	}
 	if !*quiet {
-		runSummary("resilience", len(rows), &met, time.Since(t0))
+		runSummary("resilience", len(rows), spec.Resolver.Metrics, time.Since(t0))
 	}
-	if *csvPath == "" {
-		return
-	}
-	out := os.Stdout
-	if *csvPath != "-" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "resilience: %v\n", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := scalefold.ResilienceTable(spec, rows).WriteCSV(out); err != nil {
-		fmt.Fprintf(os.Stderr, "resilience: writing csv: %v\n", err)
-		os.Exit(2)
-	}
+	writeOutput("resilience", *csvPath, "csv", scalefold.ResilienceTable(spec, rows).WriteCSV)
 }
 
 func serveCmd(args []string) {
@@ -709,7 +675,7 @@ func submitCmd(args []string) {
 	fs.Parse(args)
 
 	client := &service.Client{Base: *server}
-	st, err := client.Submit(axes.jobSpec("submit"))
+	st, err := client.Submit(axes.spec("submit"))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "submit: %v\n", err)
 		os.Exit(2)

@@ -7,12 +7,10 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/scalefold"
 	"repro/internal/scenario"
 	"repro/internal/search"
 	"repro/internal/service"
-	"repro/internal/store"
 )
 
 // optimizeCmd is the adaptive-search front end: instead of enumerating a
@@ -50,28 +48,9 @@ POST /v1/search job instead of running in-process`)
 	quiet := fs.Bool("quiet", false, "suppress streaming probe progress on stderr")
 	fs.Parse(args)
 
-	if *server != "" {
-		remoteOptimize(*server, service.SearchJobSpec{
-			Objective:    *objective,
-			Arch:         *arch,
-			Ranks:        parseIntList("optimize", "ranks", *ranks),
-			DAPs:         parseIntList("optimize", "dap", *daps),
-			FailLo:       *failLo,
-			FailHi:       *failHi,
-			RestartCost:  *restartCost,
-			CliffGoodput: *cliffGoodput,
-			Tolerance:    *tolerance,
-			Budget:       *budget,
-			Steps:        *steps,
-			Mode:         parseMode("optimize", *modeFlag),
-			SimWorkers:   *simWorkers,
-		}, *quiet)
-		return
-	}
-
-	spec := scalefold.SearchSpec{
+	js := service.SearchJobSpec{
 		Objective:    *objective,
-		Platform:     *arch,
+		Arch:         *arch,
 		Ranks:        parseIntList("optimize", "ranks", *ranks),
 		DAPs:         parseIntList("optimize", "dap", *daps),
 		FailLo:       *failLo,
@@ -84,17 +63,15 @@ POST /v1/search job instead of running in-process`)
 		Mode:         parseMode("optimize", *modeFlag),
 		SimWorkers:   *simWorkers,
 	}
-	var met scalefold.SweepMetrics
-	spec.Resolver = &scalefold.Resolver{Metrics: &met}
-	if *storeDir != "" {
-		ds, err := store.OpenDisk[cluster.Result](*storeDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "optimize: %v\n", err)
-			os.Exit(2)
-		}
-		defer ds.Close()
-		spec.Resolver.Store = ds
+	if *server != "" {
+		remoteOptimize(*server, js, *quiet)
+		return
 	}
+
+	spec := js.SearchSpec()
+	var closeStore func()
+	spec.Resolver, closeStore = localResolver("optimize", *storeDir)
+	defer closeStore()
 	if !*quiet {
 		spec.OnProbe = func(p search.Probe, src string, dur time.Duration) {
 			fmt.Fprintf(os.Stderr, "[%3d/%3d] %-6s ranks=%d dap=%d fail=%g -> goodput %.3f (%s, %v)\n",
@@ -109,7 +86,7 @@ POST /v1/search job instead of running in-process`)
 		os.Exit(2)
 	}
 	if !*quiet {
-		runSummary("optimize", f.Used, &met, time.Since(t0))
+		runSummary("optimize", f.Used, spec.Resolver.Metrics, time.Since(t0))
 	}
 	printJSON(f)
 }

@@ -238,11 +238,9 @@ func (c *Coordinator) Heartbeat(workerID string) error {
 	return nil
 }
 
-// Claim hands the worker up to max pending cells (capped at the configured
-// BatchSize; max <= 0 means BatchSize). Cells whose rendezvous-hashed home
-// is the claimant are preferred — steady fleets get stable fingerprint
-// partitioning — and the queue head fills the rest, so idle workers steal
-// rather than starve. With wait <= 0 it answers at once. Otherwise, with
+// Claim hands the worker up to max pending cells from the head of the queue,
+// oldest first (capped at the configured BatchSize; max <= 0 means
+// BatchSize). With wait <= 0 it answers at once. Otherwise, with
 // nothing pending, the claim parks (a long poll) until a cell is queued or
 // requeued, the wait runs out (empty result), ctx is done (ctx.Err()) or the
 // coordinator closes (ErrClosed). Every pass re-runs loss detection and
@@ -287,60 +285,19 @@ func (c *Coordinator) Claim(ctx context.Context, workerID string, max int, wait 
 	}
 }
 
-// pickLocked assigns up to max queued cells to w and returns them, nil when
-// the queue is empty.
+// pickLocked assigns up to max cells from the head of the queue (oldest
+// first) to w and returns them, nil when the queue is empty.
 func (c *Coordinator) pickLocked(w *workerState, max int) []Cell {
 	if max <= 0 || max > c.cfg.BatchSize {
 		max = c.cfg.BatchSize
 	}
-	var picked []*task
-	// Pass 1: cells homed on this worker by rendezvous hash.
-	if len(c.workers) > 1 {
-		for _, t := range c.queue {
-			if len(picked) >= max {
-				break
-			}
-			if c.homeLocked(t.key) == w.id {
-				picked = append(picked, t)
-			}
-		}
-	}
-	// Pass 2: fill from the queue head (oldest first).
-	for _, t := range c.queue {
-		if len(picked) >= max {
-			break
-		}
-		already := false
-		for _, p := range picked {
-			if p == t {
-				already = true
-				break
-			}
-		}
-		if !already {
-			picked = append(picked, t)
-		}
-	}
-	if len(picked) == 0 {
+	n := min(max, len(c.queue))
+	if n == 0 {
 		return nil
 	}
-	rest := c.queue[:0]
-	for _, t := range c.queue {
-		keep := true
-		for _, p := range picked {
-			if p == t {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			rest = append(rest, t)
-		}
-	}
-	c.queue = rest
 	now := c.cfg.Now()
-	cells := make([]Cell, len(picked))
-	for i, t := range picked {
+	cells := make([]Cell, n)
+	for i, t := range c.queue[:n] {
 		t.assigned = w.id
 		t.claimedAt = now
 		if !t.enqueued.IsZero() {
@@ -349,47 +306,10 @@ func (c *Coordinator) pickLocked(w *workerState, max int) []Cell {
 		w.inflight[t.key] = t
 		cells[i] = Cell{Key: t.key, Name: t.cfg.Name, Scenario: t.cfg.Scenario}
 	}
+	c.queue = append(c.queue[:0], c.queue[n:]...)
 	c.met.pending.Set(int64(len(c.queue)))
 	w.inflightGge.Set(int64(len(w.inflight)))
 	return cells
-}
-
-// FNV-1a 64-bit parameters, as in hash/fnv.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// fnv1a continues the FNV-1a 64-bit state h over s: the values hash/fnv's
-// New64a yields, without allocating a hasher.
-func fnv1a(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// homeLocked returns the live worker that rendezvous-hashes highest for the
-// key — FNV-1a over key, a 0 byte, worker ID — the cell's stable home while
-// the fleet is steady. It allocates nothing: claims run it per queued cell
-// under the coordinator lock.
-func (c *Coordinator) homeLocked(key string) string {
-	prefix := fnv1a(fnv1a(fnvOffset64, key), "\x00")
-	var best string
-	var bestScore uint64
-	for id := range c.workers {
-		if s := fnv1a(prefix, id); best == "" || s > bestScore || (s == bestScore && id < best) {
-			best, bestScore = id, s
-		}
-	}
-	return best
-}
-
-// Complete settles one claimed cell; see CompleteCell for the semantics.
-// It keeps the pre-observability signature for callers without timing data.
-func (c *Coordinator) Complete(workerID, key string, res cluster.Result, workerErr string) CompleteResponse {
-	return c.CompleteCell(CompleteRequest{WorkerID: workerID, Key: key, Result: res, Err: workerErr})
 }
 
 // CompleteCell settles one claimed cell from its full wire request, including

@@ -3,7 +3,6 @@ package fabric
 import (
 	"context"
 	"errors"
-	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -98,7 +97,7 @@ func TestCoordinatorSingleflightAndStoreFastPath(t *testing.T) {
 	if cells[0].Key != cfg.Fingerprint() {
 		t.Fatalf("claimed key %q, want %q", cells[0].Key, cfg.Fingerprint())
 	}
-	if resp := c.Complete(reg.WorkerID, cells[0].Key, want, ""); !resp.Accepted {
+	if resp := c.CompleteCell(CompleteRequest{WorkerID: reg.WorkerID, Key: cells[0].Key, Result: want}); !resp.Accepted {
 		t.Fatalf("Complete rejected: %+v", resp)
 	}
 	for _, ch := range []<-chan struct {
@@ -138,7 +137,7 @@ func TestCoordinatorRetryBudgetExhaustion(t *testing.T) {
 		if err != nil || len(cells) != 1 {
 			t.Fatalf("attempt %d: Claim = %v, %v", attempt, cells, err)
 		}
-		resp := c.Complete(reg.WorkerID, cells[0].Key, cluster.Result{}, "boom")
+		resp := c.CompleteCell(CompleteRequest{WorkerID: reg.WorkerID, Key: cells[0].Key, Err: "boom"})
 		if !resp.Accepted {
 			t.Fatalf("attempt %d: worker-error complete must be accepted (as a requeue): %+v", attempt, resp)
 		}
@@ -190,13 +189,13 @@ func TestCoordinatorExpiryReassignsAndRejectsLateCompletes(t *testing.T) {
 
 	// The dead worker's late complete is rejected idempotently: twice the
 	// same answer, nothing mutated.
-	r1 := c.Complete(w1.WorkerID, key, cluster.Result{Goodput: 9}, "")
-	r2 := c.Complete(w1.WorkerID, key, cluster.Result{Goodput: 9}, "")
+	r1 := c.CompleteCell(CompleteRequest{WorkerID: w1.WorkerID, Key: key, Result: cluster.Result{Goodput: 9}})
+	r2 := c.CompleteCell(CompleteRequest{WorkerID: w1.WorkerID, Key: key, Result: cluster.Result{Goodput: 9}})
 	if r1.Accepted || r2.Accepted || r1 != r2 {
 		t.Fatalf("late completes = %+v / %+v; want identical rejections", r1, r2)
 	}
 
-	if resp := c.Complete(w2.WorkerID, key, want, ""); !resp.Accepted {
+	if resp := c.CompleteCell(CompleteRequest{WorkerID: w2.WorkerID, Key: key, Result: want}); !resp.Accepted {
 		t.Fatalf("successor complete rejected: %+v", resp)
 	}
 	if out := <-outc; out.err != nil || out.res != want {
@@ -204,7 +203,7 @@ func TestCoordinatorExpiryReassignsAndRejectsLateCompletes(t *testing.T) {
 	}
 	// After settlement the same stale complete flips to "already settled" —
 	// still rejected, still mutating nothing.
-	if resp := c.Complete(w2.WorkerID, key, want, ""); resp.Accepted {
+	if resp := c.CompleteCell(CompleteRequest{WorkerID: w2.WorkerID, Key: key, Result: want}); resp.Accepted {
 		t.Fatalf("post-settle complete must be rejected: %+v", resp)
 	}
 	if fs := c.Fleet(); fs.Rejected != 3 || fs.Completed != 1 {
@@ -240,39 +239,26 @@ func TestCoordinatorCloseFailsOutstandingDispatch(t *testing.T) {
 	}
 }
 
-func TestRendezvousPartitioningIsStable(t *testing.T) {
-	c, _ := testCoordinator(t, Config{BatchSize: 64}, nil)
-	var ids []string
-	for _, name := range []string{"a", "b", "c"} {
-		reg, err := c.RegisterWorker(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, reg.WorkerID)
+// A claim takes cells from the head of the queue, oldest first, whichever
+// worker claims.
+func TestCoordinatorClaimTakesQueueHead(t *testing.T) {
+	c, _ := testCoordinator(t, Config{BatchSize: 2}, nil)
+	var keys []string
+	for i, ranks := range []int{32, 64, 128} {
+		cfg := scalefold.ReferenceConfig("H100", ranks)
+		keys = append(keys, cfg.Fingerprint())
+		execute(c, context.Background(), cfg)
+		waitPending(t, c, i+1)
 	}
-	keys := []string{"v4:alpha", "v4:beta", "v4:gamma", "v4:delta", "v4:epsilon"}
-	first := map[string]string{}
-	for _, k := range keys {
-		first[k] = c.homeLocked(k)
+	id := register(t, c, "a")
+	register(t, c, "b")
+	register(t, c, "c")
+	cells, err := c.Claim(context.Background(), id, 0, 0)
+	if err != nil || len(cells) != 2 || cells[0].Key != keys[0] || cells[1].Key != keys[1] {
+		t.Fatalf("Claim = %v, %v; want the two oldest cells %q, %q in order", cells, err, keys[0], keys[1])
 	}
-	for round := 0; round < 3; round++ {
-		for _, k := range keys {
-			if got := c.homeLocked(k); got != first[k] {
-				t.Fatalf("home of %q moved %q -> %q with a steady fleet", k, first[k], got)
-			}
-		}
-	}
-	homes := map[string]bool{}
-	for _, k := range keys {
-		homes[first[k]] = true
-	}
-	if len(homes) < 2 {
-		t.Fatalf("5 keys all homed on one of 3 workers: %v (suspicious hash)", first)
-	}
-	for _, id := range ids {
-		if _, err := c.Claim(context.Background(), id, 0, 0); err != nil {
-			t.Fatal(err)
-		}
+	if cells, err = c.Claim(context.Background(), id, 0, 0); err != nil || len(cells) != 1 || cells[0].Key != keys[2] {
+		t.Fatalf("second Claim = %v, %v; want the remaining cell %q", cells, err, keys[2])
 	}
 }
 
@@ -466,29 +452,5 @@ func TestLongPollCancelledRequestFreesHandler(t *testing.T) {
 	waitPending(t, c, 1)
 	if cells, err := c.Claim(context.Background(), id, 0, 0); err != nil || len(cells) != 1 {
 		t.Fatalf("Claim after the abandoned claim = %v, %v", cells, err)
-	}
-}
-
-func TestHomeLockedAllocFreeAndFNV1a(t *testing.T) {
-	c, _ := testCoordinator(t, Config{}, nil)
-	for _, name := range []string{"a", "b", "c"} {
-		register(t, c, name)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if allocs := testing.AllocsPerRun(100, func() { c.homeLocked("v4:alpha") }); allocs != 0 {
-		t.Fatalf("homeLocked allocates %.1f times per call, want 0", allocs)
-	}
-	// The inline hash is hash/fnv's FNV-1a: rendezvous homes are unchanged.
-	for _, key := range []string{"", "v4:alpha", "v3:0123456789abcdef"} {
-		for id := range c.workers {
-			h := fnv.New64a()
-			h.Write([]byte(key))
-			h.Write([]byte{0})
-			h.Write([]byte(id))
-			if got := fnv1a(fnv1a(fnv1a(fnvOffset64, key), "\x00"), id); got != h.Sum64() {
-				t.Fatalf("fnv1a(%q, %q) = %x, hash/fnv %x", key, id, got, h.Sum64())
-			}
-		}
 	}
 }

@@ -1,5 +1,5 @@
 // Package fabric turns the sweep service into a distributed service: a
-// coordinator that partitions a job's cells by their canonical v3/v4
+// coordinator that deduplicates a job's cells by their canonical v3/v4
 // scenario fingerprint and dispatches them to a fleet of registered workers
 // over the existing HTTP wire format, plus the worker loop that claims cell
 // batches, runs them through the sweep engine, and writes results to a
@@ -12,10 +12,9 @@
 // (POST /v1/workers/heartbeat). A claim is a long poll: an idle worker's
 // claim is held at the coordinator (up to its wait_ms) and answered the
 // moment a cell is queued, so a new cell waits on the coordinator's wake-up,
-// not on the worker's next poll. The coordinator prefers handing a cell to
-// its rendezvous-hashed home worker — stable fingerprint-based partitioning
-// while the fleet is steady — but any idle worker can steal from the head of
-// the queue, so a slow worker never wedges a job.
+// not on the worker's next poll. A claim takes cells from the head of the
+// queue, oldest first, whichever worker asks: any idle worker takes the next
+// pending cell.
 //
 // Failure semantics are the perturbation layer's restart model applied to
 // ourselves: a worker that misses heartbeats past the timeout is declared

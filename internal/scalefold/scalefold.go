@@ -282,11 +282,7 @@ func figure3Bars(dapN int, res cluster.Result) []Barrier {
 	cen1 := c.Census
 	cen1.DAP = 1
 	prog1 := workload.Full(cen1)
-	platform, err := scenario.PlatformByName(c.Platform)
-	if err != nil {
-		panic("scalefold: unvalidated scenario reached the simulator: " + err.Error())
-	}
-	arch := platform.Arch
+	arch := gpu.A100() // figure3Config's platform
 	var kernelGap time.Duration
 	for i, g := range prog.Groups {
 		if g.Serial {

@@ -12,6 +12,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dataset"
+	"repro/internal/gpu"
+	"repro/internal/scenario"
 	"repro/internal/store"
 )
 
@@ -140,6 +142,14 @@ func TestLadderKeyRungs(t *testing.T) {
 }
 
 func TestFigure3SharesShape(t *testing.T) {
+	// figure3Bars prices kernels on gpu.A100(), so the platform
+	// figure3Config names must carry that arch.
+	for _, d := range Figure3DAPs {
+		c := figure3Config(d)
+		if p, err := scenario.PlatformByName(c.Platform); err != nil || p.Arch != gpu.A100() {
+			t.Fatalf("figure3Config(%d) platform %q resolves to %+v, %v; want gpu.A100()", d, c.Platform, p.Arch, err)
+		}
+	}
 	skipIfShort(t)
 	shares := map[int]map[string]float64{}
 	for _, d := range []int{2, 4, 8} {

@@ -96,9 +96,9 @@ func DefaultSearchSpec() SearchSpec {
 }
 
 // WithDefaults fills unset fields from DefaultSearchSpec (the service's
-// `{}`-submits-the-default contract, like JobSpec). Note Mode: the empty
-// string means "auto" here, not "exact" — exploration is the point; spell
-// out "exact" to force the simulator.
+// `{}`-submits-the-default contract, like SweepSpec.WithDefaults). Note
+// Mode: the empty string means "auto" here, not "exact" — exploration is
+// the point; spell out "exact" to force the simulator.
 func (s SearchSpec) WithDefaults() SearchSpec {
 	d := DefaultSearchSpec()
 	if s.Objective == "" {

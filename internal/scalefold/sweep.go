@@ -15,55 +15,54 @@ import (
 // SweepSpec declares a scenario sweep over the simulator: either a
 // full-factorial grid of platform × rank count × DAP width × ablation switch
 // × seed replica, lowered to canonical Scenarios, or an explicit Scenario
-// list (the service's scenario-JSON jobs). Both run as StepConfig cells on
-// the sweep engine. The `scalefold sweep` subcommand is a flag-parsing shim
-// over this type.
+// list. Both run as StepConfig cells on the sweep engine. The `scalefold
+// sweep` subcommand is a flag-parsing shim over this type, and its JSON form
+// is the sweep job of POST /v1/jobs (service.JobSpec): the JSON fields below,
+// strict-decoded, with unset axes filled by WithDefaults, so `{}` submits the
+// default 24-cell exploration grid. The execution hooks (Cache, Resolver,
+// OnRow) never travel: the server sets its own.
 type SweepSpec struct {
 	// Profile picks the base configuration each grid cell starts from:
 	// "scalefold" (Figure 7 optimized config, default), "baseline"
 	// (unoptimized OpenFold reference) or "fastfold".
-	Profile string
+	Profile string `json:"profile,omitempty"`
 	// Arches are platform names from the scenario registry ("H100",
 	// "h100-eos", "a100-selene", ...). Grid cells derive their seeds from
 	// the axis values as spelled (pre-scenario-layer compatible), so one
 	// grid should spell each platform one way; explicit Scenarios are the
 	// spelling-independent route.
-	Arches []string
-	Ranks  []int
-	DAPs   []int
+	Arches []string `json:"arch,omitempty"`
+	Ranks  []int    `json:"ranks,omitempty"`
+	DAPs   []int    `json:"dap,omitempty"`
 	// Ablations are StepConfig.Ablation values ("none" plus the Figure 3
 	// barrier switches); see the Ablations variable.
-	Ablations []string
+	Ablations []string `json:"ablate,omitempty"`
 	// Seeds is the number of seed replicas per scenario (axis "seed" with
 	// values 1..Seeds). Each cell derives its RNG seed deterministically
 	// from the replica index and the scenario fingerprint.
-	Seeds int
-	// Scenarios, when non-empty, replaces the grid axes above: each entry
-	// is one explicit cell, validated by scenario.Validate at spec
-	// validation time (an infeasible explicit scenario is an error, not a
-	// skipped row — the submitter named it deliberately). Identity fields
-	// (Steps included) come entirely from each scenario, so its fingerprint
-	// is a function of the descriptor alone; only the execution knobs below
-	// (Workers, Cache, Resolver, ...) still apply.
-	Scenarios []scenario.Scenario
+	Seeds int `json:"seeds,omitempty"`
 	// Steps overrides the per-simulation step count (0 = simulator default).
-	Steps int
-	// Workers bounds the worker pool (<= 0: GOMAXPROCS).
-	Workers int
+	Steps int `json:"steps,omitempty"`
+	// Workers bounds the worker pool (<= 0: GOMAXPROCS). The sweep service
+	// also bounds total in-flight simulations across all jobs with its
+	// shared pool, so on a job this can only narrow the server limit.
+	Workers int `json:"workers,omitempty"`
 	// SimWorkers shards each simulation's internal per-rank work across
 	// goroutines (<= 1: serial; see cluster.Options.SimWorkers). Execution
 	// detail only — results and fingerprints are identical for every value.
 	// Applied to every grid cell, and to explicit Scenarios that don't set
 	// their own. Prefer Workers (cell parallelism) for many-cell sweeps;
-	// SimWorkers pays off when a few huge-rank cells dominate.
-	SimWorkers int
+	// SimWorkers pays off when a few huge-rank cells dominate. The sweep
+	// service clamps it so cell parallelism × intra-cell shards never
+	// exceeds its pool.
+	SimWorkers int `json:"sim_workers,omitempty"`
 	// Perturb, when non-nil and non-trivial, injects unhealthy-cluster
 	// noise (stragglers, transient stalls, failures + restarts; see
 	// package perturb) into every grid cell, and into explicit Scenarios
 	// that don't carry their own block. Unlike SimWorkers this IS
 	// identity-bearing: perturbed cells fingerprint under the v4 key
 	// generation and never share store records with healthy ones.
-	Perturb *perturb.Spec
+	Perturb *perturb.Spec `json:"perturb,omitempty"`
 	// Mode selects how cells resolve their Result: "" or "exact" runs the
 	// simulator (the default), "analytic" serves package analytic's
 	// closed-form estimate, "auto" picks per cell — analytic unless the
@@ -77,22 +76,31 @@ type SweepSpec struct {
 	// set is a deterministic function of the scenarios alone. Identity-
 	// bearing for analytic cells (v5 keys — an estimate must never satisfy
 	// an exact lookup); exact cells keep their v3/v4 keys byte-identical.
-	Mode string
+	Mode string `json:"mode,omitempty"`
+	// Scenarios, when non-empty, replaces the grid axes above: each entry
+	// is one explicit cell in the canonical Scenario JSON schema, validated
+	// by scenario.Validate at spec validation time (an infeasible explicit
+	// scenario is an error, not a skipped row — the submitter named it
+	// deliberately). Identity fields (Steps included) come entirely from
+	// each scenario, so its fingerprint is a function of the descriptor
+	// alone; only the execution knobs (Workers, SimWorkers, Cache,
+	// Resolver, ...) still apply.
+	Scenarios []scenario.Scenario `json:"scenarios,omitempty"`
 	// Cache memoizes results by fingerprint. nil gives this run a fresh
 	// memo; pass one to share settled cells across runs (cells shared with
 	// other runs otherwise come from the Resolver's store).
-	Cache *sweep.Cache[cluster.Result]
+	Cache *sweep.Cache[cluster.Result] `json:"-"`
 	// Resolver turns each cell the memo cannot settle into a Result, and
 	// holds the store, counters, tracer, compute slots and remote
 	// dispatcher those resolutions use. nil resolves locally with none of
 	// them.
-	Resolver *Resolver
+	Resolver *Resolver `json:"-"`
 	// OnRow, when non-nil, streams rows as they settle: every skipped row
 	// first (in grid order, before execution starts), then each executed
 	// row as its cell completes (completion order; calls are serialized).
 	// No row streams once a cell has failed. The sweep service's NDJSON
 	// endpoint hangs off this hook.
-	OnRow func(i int, row SweepRow)
+	OnRow func(i int, row SweepRow) `json:"-"`
 }
 
 // DefaultSweepSpec is the out-of-the-box exploration grid: the optimized
@@ -107,6 +115,36 @@ func DefaultSweepSpec() SweepSpec {
 		Ablations: append([]string(nil), Ablations...),
 		Seeds:     1,
 	}
+}
+
+// WithDefaults fills unset grid fields from DefaultSweepSpec (the service's
+// `{}`-submits-the-default contract, like SearchSpec.WithDefaults). An
+// explicit-scenario spec passes through untouched: its cells are fully
+// specified.
+func (s SweepSpec) WithDefaults() SweepSpec {
+	if len(s.Scenarios) > 0 {
+		return s
+	}
+	d := DefaultSweepSpec()
+	if s.Profile == "" {
+		s.Profile = d.Profile
+	}
+	if len(s.Arches) == 0 {
+		s.Arches = d.Arches
+	}
+	if len(s.Ranks) == 0 {
+		s.Ranks = d.Ranks
+	}
+	if len(s.DAPs) == 0 {
+		s.DAPs = d.DAPs
+	}
+	if len(s.Ablations) == 0 {
+		s.Ablations = d.Ablations
+	}
+	if s.Seeds == 0 {
+		s.Seeds = d.Seeds
+	}
+	return s
 }
 
 // Grid returns the declared axes. Expansion is exhaustive — infeasible
@@ -204,6 +242,10 @@ type SweepRow struct {
 	SkipReason string
 }
 
+// maxGridCells bounds a grid spec's size: far beyond any sweep worth
+// running, far below what expanding it would exhaust.
+const maxGridCells = 1 << 20
+
 // validate rejects spec-wide mistakes — an unknown profile, platform or
 // ablation fails every cell identically, so it is an error, not a grid of
 // skips. Per-cell infeasibility (ranks not divisible by DAP) stays a skip on
@@ -237,6 +279,16 @@ func (s SweepSpec) validate() error {
 	case "", "scalefold", "baseline", "fastfold":
 	default:
 		return fmt.Errorf("sweep: unknown profile %q (want scalefold, baseline or fastfold)", s.Profile)
+	}
+	// The grid's size is the product of its axis lengths. Bound it before
+	// anything expands an axis, so a few bytes of spec cannot ask for
+	// billions of cells.
+	cells := max(s.Seeds, 0)
+	for _, n := range []int{len(s.Arches), len(s.Ranks), len(s.DAPs), len(s.Ablations)} {
+		if n > 0 && cells > maxGridCells/n {
+			return fmt.Errorf("sweep: grid exceeds %d cells", maxGridCells)
+		}
+		cells *= n
 	}
 	for _, a := range s.Arches {
 		if _, err := scenario.PlatformByName(a); err != nil {

@@ -155,6 +155,7 @@ func TestSweepRejectsBadAxes(t *testing.T) {
 		func(s *SweepSpec) { s.Arches = []string{"TPU"} },
 		func(s *SweepSpec) { s.Profile = "alphafold3" },
 		func(s *SweepSpec) { s.Ablations = []string{"zero-lunch"} },
+		func(s *SweepSpec) { s.Seeds = 1 << 60 }, // refused before its seed axis is built
 	} {
 		s := testSpec(1, nil)
 		mut(&s)

@@ -35,150 +35,128 @@ func (c *Client) url(path string) string {
 	return strings.TrimRight(c.Base, "/") + path
 }
 
-// decode parses a JSON response, lifting the server's error envelope (and
-// non-2xx status) into a Go error.
-func decode[T any](resp *http.Response, out *T) error {
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return fmt.Errorf("service: reading response: %w", err)
-	}
-	if resp.StatusCode/100 != 2 {
-		var ae apiError
-		if json.Unmarshal(body, &ae) == nil && ae.Error != "" {
-			return fmt.Errorf("service: %s (HTTP %d)", ae.Error, resp.StatusCode)
+// send issues one request, JSON-encoding body when non-nil, and returns
+// the response when it is 2xx. Any other status becomes an error carrying
+// the server's error envelope.
+func (c *Client) send(method, path string, body any) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		b, err := json.Marshal(body)
+		if err != nil {
+			return nil, fmt.Errorf("service: %w", err)
 		}
-		return fmt.Errorf("service: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
+		rd = bytes.NewReader(b)
 	}
-	if err := json.Unmarshal(body, out); err != nil {
-		return fmt.Errorf("service: decoding response: %w", err)
+	req, err := http.NewRequest(method, c.url(path), rd)
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
-	return nil
+	if method == http.MethodPost {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.http().Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
+	if resp.StatusCode/100 == 2 {
+		return resp, nil
+	}
+	defer resp.Body.Close()
+	msg, err := io.ReadAll(resp.Body)
+	if err != nil {
+		// A truncated error body must not masquerade as an empty one:
+		// surface the read failure alongside the status.
+		return nil, fmt.Errorf("service: HTTP %d: body unreadable: %v", resp.StatusCode, err)
+	}
+	var ae apiError
+	if json.Unmarshal(msg, &ae) == nil && ae.Error != "" {
+		return nil, fmt.Errorf("service: %s (HTTP %d)", ae.Error, resp.StatusCode)
+	}
+	return nil, fmt.Errorf("service: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
+}
+
+// call sends one request and decodes its JSON response as a T.
+func call[T any](c *Client, method, path string, body any) (T, error) {
+	var out T
+	resp, err := c.send(method, path, body)
+	if err != nil {
+		return out, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return out, fmt.Errorf("service: reading response: %w", err)
+	}
+	if err := json.Unmarshal(data, &out); err != nil {
+		return out, fmt.Errorf("service: decoding response: %w", err)
+	}
+	return out, nil
 }
 
 // Submit posts a job spec and returns the accepted job's status.
 func (c *Client) Submit(spec JobSpec) (JobStatus, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("service: %w", err)
-	}
-	resp, err := c.http().Post(c.url("/v1/jobs"), "application/json", bytes.NewReader(body))
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("service: %w", err)
-	}
-	var st JobStatus
-	return st, decode(resp, &st)
+	return call[JobStatus](c, http.MethodPost, "/v1/jobs", spec)
 }
 
 // SubmitSearch posts an adaptive-search spec (POST /v1/search) and returns
 // the accepted job's status.
 func (c *Client) SubmitSearch(spec SearchJobSpec) (JobStatus, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("service: %w", err)
-	}
-	resp, err := c.http().Post(c.url("/v1/search"), "application/json", bytes.NewReader(body))
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("service: %w", err)
-	}
-	var st JobStatus
-	return st, decode(resp, &st)
+	return call[JobStatus](c, http.MethodPost, "/v1/search", spec)
 }
 
 // Jobs lists every job on the server, in submit order.
 func (c *Client) Jobs() ([]JobStatus, error) {
-	resp, err := c.http().Get(c.url("/v1/jobs"))
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-	var out struct {
+	out, err := call[struct {
 		Jobs []JobStatus `json:"jobs"`
-	}
-	return out.Jobs, decode(resp, &out)
+	}](c, http.MethodGet, "/v1/jobs", nil)
+	return out.Jobs, err
 }
 
 // Job fetches one job's status.
 func (c *Client) Job(id string) (JobStatus, error) {
-	resp, err := c.http().Get(c.url("/v1/jobs/" + id))
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("service: %w", err)
-	}
-	var st JobStatus
-	return st, decode(resp, &st)
+	return call[JobStatus](c, http.MethodGet, "/v1/jobs/"+id, nil)
 }
 
 // Cancel cancels a queued or running job and returns its status.
 func (c *Client) Cancel(id string) (JobStatus, error) {
-	resp, err := c.http().Post(c.url("/v1/jobs/"+id+"/cancel"), "application/json", nil)
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("service: %w", err)
-	}
-	var st JobStatus
-	return st, decode(resp, &st)
+	return call[JobStatus](c, http.MethodPost, "/v1/jobs/"+id+"/cancel", nil)
 }
 
 // StoreStatus fetches the server's store statistics.
 func (c *Client) StoreStatus() (StoreStatus, error) {
-	resp, err := c.http().Get(c.url("/v1/store"))
-	if err != nil {
-		return StoreStatus{}, fmt.Errorf("service: %w", err)
-	}
-	var st StoreStatus
-	return st, decode(resp, &st)
+	return call[StoreStatus](c, http.MethodGet, "/v1/store", nil)
 }
 
 // CompactStore asks the server to compact its persistent store
 // (POST /v1/store/compact) and returns the compaction statistics.
 func (c *Client) CompactStore() (store.CompactStats, error) {
-	resp, err := c.http().Post(c.url("/v1/store/compact"), "application/json", nil)
-	if err != nil {
-		return store.CompactStats{}, fmt.Errorf("service: %w", err)
-	}
-	var st store.CompactStats
-	return st, decode(resp, &st)
+	return call[store.CompactStats](c, http.MethodPost, "/v1/store/compact", nil)
 }
 
 // Trace downloads a job's Chrome trace-event JSON (GET /v1/jobs/{id}/trace)
 // and copies it to w verbatim — what `scalefold trace` writes to its output
 // file.
 func (c *Client) Trace(id string, w io.Writer) error {
-	resp, err := c.http().Get(c.url("/v1/jobs/" + id + "/trace"))
+	resp, err := c.send(http.MethodGet, "/v1/jobs/"+id+"/trace", nil)
 	if err != nil {
-		return fmt.Errorf("service: %w", err)
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, rerr := io.ReadAll(resp.Body)
-		if rerr != nil {
-			// A truncated error body must not masquerade as an empty one:
-			// surface the read failure alongside the status.
-			return fmt.Errorf("service: HTTP %d: body unreadable: %v", resp.StatusCode, rerr)
-		}
-		var ae apiError
-		if json.Unmarshal(body, &ae) == nil && ae.Error != "" {
-			return fmt.Errorf("service: %s (HTTP %d)", ae.Error, resp.StatusCode)
-		}
-		return fmt.Errorf("service: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
 	if _, err := io.Copy(w, resp.Body); err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
 	return nil
 }
 
-// Stream follows a job's NDJSON stream to completion. onRow (optional)
-// receives each RowEvent as it arrives; returning an error aborts the
-// stream. Stream returns the terminal DoneEvent.
-func (c *Client) Stream(id string, onRow func(RowEvent) error) (DoneEvent, error) {
-	resp, err := c.http().Get(c.url("/v1/jobs/" + id + "/stream"))
+// follow reads a job's NDJSON stream up to its terminal DoneEvent, handing
+// every earlier event to onEvent with its type; an onEvent error aborts the
+// stream.
+func (c *Client) follow(id string, onEvent func(typ string, line []byte) error) (DoneEvent, error) {
+	resp, err := c.send(http.MethodGet, "/v1/jobs/"+id+"/stream", nil)
 	if err != nil {
-		return DoneEvent{}, fmt.Errorf("service: %w", err)
+		return DoneEvent{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var st DoneEvent
-		return st, decode(resp, &st) // lifts the error envelope
-	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 64<<10), 16<<20)
 	for sc.Scan() {
@@ -192,26 +170,15 @@ func (c *Client) Stream(id string, onRow func(RowEvent) error) (DoneEvent, error
 		if err := json.Unmarshal(line, &kind); err != nil {
 			return DoneEvent{}, fmt.Errorf("service: bad stream line %q: %w", line, err)
 		}
-		switch kind.Type {
-		case "row":
-			if onRow == nil {
-				continue
-			}
-			var ev RowEvent
-			if err := json.Unmarshal(line, &ev); err != nil {
-				return DoneEvent{}, fmt.Errorf("service: bad row event: %w", err)
-			}
-			if err := onRow(ev); err != nil {
-				return DoneEvent{}, err
-			}
-		case "done":
+		if kind.Type == "done" {
 			var ev DoneEvent
 			if err := json.Unmarshal(line, &ev); err != nil {
 				return DoneEvent{}, fmt.Errorf("service: bad done event: %w", err)
 			}
 			return ev, nil
-		default:
-			return DoneEvent{}, fmt.Errorf("service: unknown stream event type %q", kind.Type)
+		}
+		if err := onEvent(kind.Type, line); err != nil {
+			return DoneEvent{}, err
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -220,67 +187,51 @@ func (c *Client) Stream(id string, onRow func(RowEvent) error) (DoneEvent, error
 	return DoneEvent{}, fmt.Errorf("service: stream for %s ended without a done event", id)
 }
 
+// onStreamEvent decodes one stream line as an E and hands it to on; a nil
+// on skips the line undecoded.
+func onStreamEvent[E any](typ string, line []byte, on func(E) error) error {
+	if on == nil {
+		return nil
+	}
+	var ev E
+	if err := json.Unmarshal(line, &ev); err != nil {
+		return fmt.Errorf("service: bad %s event: %w", typ, err)
+	}
+	return on(ev)
+}
+
+// Stream follows a job's NDJSON stream to completion. onRow (optional)
+// receives each RowEvent as it arrives; returning an error aborts the
+// stream. Stream returns the terminal DoneEvent.
+func (c *Client) Stream(id string, onRow func(RowEvent) error) (DoneEvent, error) {
+	return c.follow(id, func(typ string, line []byte) error {
+		if typ != "row" {
+			return fmt.Errorf("service: unknown stream event type %q", typ)
+		}
+		return onStreamEvent(typ, line, onRow)
+	})
+}
+
 // SearchStream follows a search job's NDJSON stream to completion. onProbe
 // (optional) receives each ProbeEvent as it arrives; returning an error
 // aborts the stream. SearchStream returns the FrontierEvent's report (nil if
 // the job ended without one — cancelled or failed) and the terminal
 // DoneEvent.
 func (c *Client) SearchStream(id string, onProbe func(ProbeEvent) error) (*scalefold.Frontier, DoneEvent, error) {
-	resp, err := c.http().Get(c.url("/v1/jobs/" + id + "/stream"))
-	if err != nil {
-		return nil, DoneEvent{}, fmt.Errorf("service: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var st DoneEvent
-		return nil, st, decode(resp, &st) // lifts the error envelope
-	}
 	var frontier *scalefold.Frontier
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 16<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var kind struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &kind); err != nil {
-			return frontier, DoneEvent{}, fmt.Errorf("service: bad stream line %q: %w", line, err)
-		}
-		switch kind.Type {
+	done, err := c.follow(id, func(typ string, line []byte) error {
+		switch typ {
 		case "probe":
-			if onProbe == nil {
-				continue
-			}
-			var ev ProbeEvent
-			if err := json.Unmarshal(line, &ev); err != nil {
-				return frontier, DoneEvent{}, fmt.Errorf("service: bad probe event: %w", err)
-			}
-			if err := onProbe(ev); err != nil {
-				return frontier, DoneEvent{}, err
-			}
+			return onStreamEvent(typ, line, onProbe)
 		case "frontier":
-			var ev FrontierEvent
-			if err := json.Unmarshal(line, &ev); err != nil {
-				return frontier, DoneEvent{}, fmt.Errorf("service: bad frontier event: %w", err)
-			}
-			frontier = &ev.Frontier
-		case "done":
-			var ev DoneEvent
-			if err := json.Unmarshal(line, &ev); err != nil {
-				return frontier, DoneEvent{}, fmt.Errorf("service: bad done event: %w", err)
-			}
-			return frontier, ev, nil
-		default:
-			return frontier, DoneEvent{}, fmt.Errorf("service: unknown stream event type %q", kind.Type)
+			return onStreamEvent(typ, line, func(ev FrontierEvent) error {
+				frontier = &ev.Frontier
+				return nil
+			})
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return frontier, DoneEvent{}, fmt.Errorf("service: %w", err)
-	}
-	return frontier, DoneEvent{}, fmt.Errorf("service: stream for %s ended without a done event", id)
+		return fmt.Errorf("service: unknown stream event type %q", typ)
+	})
+	return frontier, done, err
 }
 
 // RawStream follows a job's stream and prints one JSON object per line to w

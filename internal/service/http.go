@@ -9,8 +9,10 @@ import (
 // Handler returns the server's HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("POST /v1/search", s.handleSearch)
+	mux.HandleFunc("POST /v1/jobs", handleSubmit("job", s.Submit))
+	// Search jobs share the queue, status and stream endpoints of sweep
+	// jobs: searched instead of enumerated.
+	mux.HandleFunc("POST /v1/search", handleSubmit("search", s.SubmitSearch))
 	mux.HandleFunc("GET /v1/jobs", s.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
@@ -38,54 +40,36 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad job spec: " + err.Error()})
-		return
+// handleSubmit returns a job-submission handler: it strict-decodes a spec
+// of type S (an unknown field is 400), submits it and answers 202 with the
+// accepted job's status. An invalid spec — unknown mode, platform,
+// objective, infeasible ladder, ... — is 400, queue backpressure 503 and
+// anything else 500.
+func handleSubmit[S any](kind string, submit func(S) (JobStatus, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var spec S
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
+			writeJSON(w, http.StatusBadRequest, apiError{Error: "bad " + kind + " spec: " + err.Error()})
+			return
+		}
+		st, err := submit(spec)
+		if err != nil {
+			code := http.StatusInternalServerError
+			var bad *BadSpecError
+			var full *QueueFullError
+			switch {
+			case errors.As(err, &bad):
+				code = http.StatusBadRequest
+			case errors.As(err, &full):
+				code = http.StatusServiceUnavailable
+			}
+			writeJSON(w, code, apiError{Error: err.Error()})
+			return
+		}
+		writeJSON(w, http.StatusAccepted, st)
 	}
-	st, err := s.Submit(spec)
-	if err != nil {
-		writeSubmitErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-// handleSearch accepts an adaptive-search job: same queue, same status and
-// stream endpoints as sweep jobs, searched instead of enumerated. An invalid
-// spec — unknown objective, mode, platform, infeasible ladder — is 400.
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var spec SearchJobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad search spec: " + err.Error()})
-		return
-	}
-	st, err := s.SubmitSearch(spec)
-	if err != nil {
-		writeSubmitErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-// writeSubmitErr maps submission failures to their status codes: invalid
-// specs to 400, queue backpressure to 503, anything else to 500.
-func writeSubmitErr(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
-	var bad *BadSpecError
-	var full *QueueFullError
-	switch {
-	case errors.As(err, &bad):
-		code = http.StatusBadRequest
-	case errors.As(err, &full):
-		code = http.StatusServiceUnavailable
-	}
-	writeJSON(w, code, apiError{Error: err.Error()})
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

@@ -111,19 +111,24 @@ func (j *job) streamRow(i int, row scalefold.SweepRow) {
 	for k, h := range tab.Header {
 		data[h] = tab.Rows[0][k]
 	}
-	ev := RowEvent{Type: "row", Index: i, Status: data["status"], Skip: row.SkipReason, Data: data}
-	line, err := json.Marshal(ev)
-	if err != nil {
-		return // unreachable: RowEvent is marshal-safe
-	}
 	j.mu.Lock()
 	j.rows++
 	if row.SkipReason != "" {
 		j.skipped++
 	}
+	j.appendLocked(RowEvent{Type: "row", Index: i, Status: data["status"], Skip: row.SkipReason, Data: data})
+	j.mu.Unlock()
+}
+
+// appendLocked appends ev to the event log as one NDJSON line and wakes
+// stream followers. Callers hold j.mu.
+func (j *job) appendLocked(ev any) {
+	line, err := json.Marshal(ev)
+	if err != nil {
+		return // unreachable: every event type is marshal-safe
+	}
 	j.events = append(j.events, append(line, '\n'))
 	j.wakeLocked()
-	j.mu.Unlock()
 }
 
 // finalize settles the job's terminal state and appends the DoneEvent that
@@ -148,23 +153,25 @@ func (j *job) finalizeLocked(state string, err error) {
 		j.err = err.Error()
 	}
 	if state == StateDone && j.frontier != nil {
-		line, _ := json.Marshal(FrontierEvent{Type: "frontier", Frontier: *j.frontier})
 		j.frontierSize = len(j.frontier.Pareto)
-		j.events = append(j.events, append(line, '\n'))
+		j.appendLocked(FrontierEvent{Type: "frontier", Frontier: *j.frontier})
 	}
-	done := DoneEvent{
+	j.appendLocked(DoneEvent{
 		Type: "done", State: state, Rows: j.rows, Skipped: j.skipped,
+		Counts: j.counts(), Error: j.err,
+	})
+}
+
+// counts snapshots how the job's executed cells were satisfied so far.
+func (j *job) counts() Counts {
+	return Counts{
 		Simulated:   j.metrics.Simulated.Load(),
 		StoreHits:   j.metrics.StoreHits.Load(),
 		MemoHits:    j.metrics.MemoHits.Load(),
 		Remote:      j.metrics.Remote.Load(),
 		Analytic:    j.metrics.Analytic.Load(),
 		Escalations: j.metrics.Escalated.Load(),
-		Error:       j.err,
 	}
-	line, _ := json.Marshal(done)
-	j.events = append(j.events, append(line, '\n'))
-	j.wakeLocked()
 }
 
 // finished reports whether the job reached a terminal state. Callers hold
@@ -180,14 +187,8 @@ func (j *job) status() JobStatus {
 	return JobStatus{
 		ID: j.id, State: j.state, Kind: j.kind, Spec: j.spec, Search: j.search,
 		Cells: j.cells, Done: j.rows, Skipped: j.skipped,
-		Probes: j.probes, FrontierSize: j.frontierSize,
-		Simulated:   j.metrics.Simulated.Load(),
-		StoreHits:   j.metrics.StoreHits.Load(),
-		MemoHits:    j.metrics.MemoHits.Load(),
-		Remote:      j.metrics.Remote.Load(),
-		Analytic:    j.metrics.Analytic.Load(),
-		Escalations: j.metrics.Escalated.Load(),
-		Created:     j.created, Started: j.started, Finished: j.finished,
+		Probes: j.probes, FrontierSize: j.frontierSize, Counts: j.counts(),
+		Created: j.created, Started: j.started, Finished: j.finished,
 		Error: j.err, StoreErr: j.storeErr,
 	}
 }

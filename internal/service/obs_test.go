@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"regexp"
 	"strings"
 	"testing"
@@ -212,12 +213,8 @@ func TestHealthzEnriched(t *testing.T) {
 	if done, err := c.Stream(st.ID, nil); err != nil || done.State != StateDone {
 		t.Fatalf("stream: %+v, %v", done, err)
 	}
-	resp, err := c.http().Get(c.url("/v1/healthz"))
+	hs, err := call[HealthStatus](c, http.MethodGet, "/v1/healthz", nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var hs HealthStatus
-	if err := decode(resp, &hs); err != nil {
 		t.Fatal(err)
 	}
 	if !hs.OK || hs.GoVersion == "" || hs.UptimeSec < 0 {

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"time"
 
 	"repro/internal/scalefold"
@@ -43,9 +42,9 @@ type SearchJobSpec struct {
 	SimWorkers int `json:"sim_workers,omitempty"`
 }
 
-// searchSpec lowers the wire spec to an executable one (the server fills
-// its Resolver and probe hook).
-func (js SearchJobSpec) searchSpec() scalefold.SearchSpec {
+// SearchSpec lowers the wire spec to an executable one: the server fills its
+// Resolver and probe hook, `scalefold optimize` runs it in-process.
+func (js SearchJobSpec) SearchSpec() scalefold.SearchSpec {
 	return scalefold.SearchSpec{
 		Objective:    js.Objective,
 		Platform:     js.Arch,
@@ -91,7 +90,7 @@ type FrontierEvent struct {
 // queue, scheduler pool and store as sweep jobs. Budget plays the role of
 // Cells in the job's progress accounting.
 func (s *Server) SubmitSearch(spec SearchJobSpec) (JobStatus, error) {
-	sp := spec.searchSpec().WithDefaults()
+	sp := spec.SearchSpec().WithDefaults()
 	if err := sp.Validate(); err != nil {
 		return JobStatus{}, &BadSpecError{Err: err}
 	}
@@ -111,7 +110,7 @@ func (s *Server) SubmitSearch(spec SearchJobSpec) (JobStatus, error) {
 // the whole pool unless the spec narrows it. A finished search's frontier
 // streams when runKind finalizes the job as done.
 func (s *Server) runSearch(ctx context.Context, j *job, r *scalefold.Resolver) error {
-	ss := j.search.searchSpec()
+	ss := j.search.SearchSpec()
 	ss.Resolver = r
 	if ss.SimWorkers <= 0 || ss.SimWorkers > s.cfg.Workers {
 		ss.SimWorkers = s.cfg.Workers
@@ -139,20 +138,14 @@ func (j *job) streamProbe(p search.Probe, src string) {
 	if j.ctx.Err() != nil {
 		return
 	}
-	ev := ProbeEvent{
+	j.mu.Lock()
+	j.rows++
+	j.probes++
+	j.appendLocked(ProbeEvent{
 		Type: "probe", Seq: p.Seq, Phase: p.Phase,
 		Ranks: p.Ranks, DAP: p.DAP, FailProb: p.FailProb,
 		Goodput: p.Goodput, MeanStepS: p.MeanStepS,
 		Score: p.Score, Source: src,
-	}
-	line, err := json.Marshal(ev)
-	if err != nil {
-		return // unreachable: ProbeEvent is marshal-safe
-	}
-	j.mu.Lock()
-	j.rows++
-	j.probes++
-	j.events = append(j.events, append(line, '\n'))
-	j.wakeLocked()
+	})
 	j.mu.Unlock()
 }

@@ -325,12 +325,11 @@ func (s *Server) Close() error {
 
 // Submit validates and enqueues a sweep job, returning its initial status.
 func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
-	spec = spec.withDefaults()
-	sw := spec.sweepSpec()
-	if err := sw.Validate(); err != nil {
+	spec = spec.WithDefaults()
+	if err := spec.Validate(); err != nil {
 		return JobStatus{}, &BadSpecError{Err: err}
 	}
-	j := &job{spec: spec, cells: sw.Cells()}
+	j := &job{spec: spec, cells: spec.Cells()}
 	st, err := s.enqueue(j)
 	if err != nil {
 		return JobStatus{}, err
@@ -538,9 +537,10 @@ func (s *Server) runKind(j *job, run func(context.Context, *scalefold.Resolver) 
 	// Fold the job's resolution counts into the server-lifetime series —
 	// whatever terminal state the job reached, these count work that
 	// actually happened.
-	s.met.analyticCells.Add(j.metrics.Analytic.Load())
-	s.met.exactCells.Add(j.metrics.Simulated.Load())
-	s.met.escalations.Add(j.metrics.Escalated.Load())
+	c := j.counts()
+	s.met.analyticCells.Add(c.Analytic)
+	s.met.exactCells.Add(c.Simulated)
+	s.met.escalations.Add(c.Escalations)
 	switch {
 	case j.ctx.Err() != nil:
 		j.finalize(StateCancelled, nil)
@@ -551,12 +551,12 @@ func (s *Server) runKind(j *job, run func(context.Context, *scalefold.Resolver) 
 	default:
 		j.finalize(StateDone, nil)
 		s.log.Info("job done", "job", j.id, "kind", j.kind,
-			"simulated", j.metrics.Simulated.Load(),
-			"store_hits", j.metrics.StoreHits.Load(),
-			"memo_hits", j.metrics.MemoHits.Load(),
-			"remote", j.metrics.Remote.Load(),
-			"analytic", j.metrics.Analytic.Load(),
-			"escalations", j.metrics.Escalated.Load())
+			"simulated", c.Simulated,
+			"store_hits", c.StoreHits,
+			"memo_hits", c.MemoHits,
+			"remote", c.Remote,
+			"analytic", c.Analytic,
+			"escalations", c.Escalations)
 	}
 }
 
@@ -565,9 +565,8 @@ func (s *Server) runKind(j *job, run func(context.Context, *scalefold.Resolver) 
 // (shared across jobs and restarts), and only then the estimator, the
 // simulator or the fleet.
 func (s *Server) runSweep(ctx context.Context, j *job, r *scalefold.Resolver) error {
-	sw := j.spec.sweepSpec()
-	sw.Resolver = r
-	sw.OnRow = j.streamRow
+	sw := j.spec
+	sw.Cache, sw.Resolver, sw.OnRow = nil, r, j.streamRow
 	if s.coord != nil {
 		// Coordinator mode: engine "workers" are dispatch waiters, not
 		// simulations — size them to the grid (capped), never to this

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -373,14 +374,10 @@ func TestFinishedJobRetentionBounded(t *testing.T) {
 func TestHealthz(t *testing.T) {
 	srv, c, stop := newTestServer(t, Config{Workers: 1})
 	defer stop()
-	resp, err := c.http().Get(c.url("/v1/healthz"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ok struct {
+	ok, err := call[struct {
 		OK bool `json:"ok"`
-	}
-	if err := decode(resp, &ok); err != nil || !ok.OK {
+	}](c, http.MethodGet, "/v1/healthz", nil)
+	if err != nil || !ok.OK {
 		t.Fatalf("healthz: %+v, %v", ok, err)
 	}
 	// Submitting after Close is refused rather than wedging the queue.
