@@ -636,6 +636,7 @@ func workerCmd(args []string) {
 	}
 	w := &fabric.Worker{Base: *server, Name: *name, Poll: *poll, Log: newLogger("worker", *logLevel)}
 	w.OnStoreErr = func(err error) { fmt.Fprintf(os.Stderr, "worker: store: %v\n", err) }
+	closeStore := func() {}
 	if *storeDir != "" {
 		// The lease owner must be path-safe and unique per live process;
 		// the default hostname-pid name is both, but -name is free-form, so
@@ -653,13 +654,20 @@ func workerCmd(args []string) {
 			fmt.Fprintf(os.Stderr, "worker: %v\n", err)
 			os.Exit(2)
 		}
-		defer ss.Close()
 		w.Store = ss
+		// Close syncs and seals this worker's last segment.
+		closeStore = func() {
+			if err := ss.Close(); err != nil {
+				w.OnStoreErr(err)
+			}
+		}
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	fmt.Fprintf(os.Stderr, "scalefold worker %q: claiming from %s\n", *name, *server)
-	if err := w.Run(ctx); err != nil {
+	err := w.Run(ctx)
+	closeStore()
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "worker: %v\n", err)
 		os.Exit(2)
 	}
@@ -754,7 +762,6 @@ func traceCmd(args []string) {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			os.Exit(2)
 		}
-		defer f.Close()
 		w = f
 	}
 	client := &service.Client{Base: *server}
@@ -763,6 +770,10 @@ func traceCmd(args []string) {
 		os.Exit(2)
 	}
 	if *out != "-" {
+		if err := w.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
+			os.Exit(2)
+		}
 		fmt.Fprintf(os.Stderr, "trace: wrote %s for %s\n", *out, *jobID)
 	}
 }

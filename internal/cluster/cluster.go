@@ -93,20 +93,6 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// DefaultOptions returns a production-like H100 setup.
-func DefaultOptions(seed int64) Options {
-	return Options{
-		Arch:      gpu.H100(),
-		Topo:      comm.Eos(),
-		CPU:       gpu.DefaultCPUModel(),
-		Workers:   10,
-		Prefetch:  32,
-		PrepModel: dataset.DefaultPrepTimeModel(),
-		Seed:      seed,
-		Steps:     6,
-	}
-}
-
 // Breakdown decomposes mean step time.
 type Breakdown struct {
 	GPUCompute  time.Duration // roofline kernel time (includes serial modules)
@@ -293,9 +279,9 @@ func NewSkeleton(prog *workload.Program, ranks, dapDegree int, o Options) (Skele
 		// warmup; steady-state steps replay from the cache. Replay is the
 		// only launch cost left, but Python GC still stalls the host
 		// between replays until disabled.
-		graphs := gpu.NewGraphCache(0)
+		graphs := gpu.NewGraphCache()
 		for key := 0; key < 4; key++ {
-			s.GraphCapture += graphs.Launch(o.Arch, key, launches, o.CPU, 0)
+			s.GraphCapture += graphs.Launch(o.Arch, key, launches)
 		}
 		s.CPUExposedStep = o.Arch.GraphReplayOverhead + gcCost(o.CPU, launches)
 	} else if !o.ZeroLaunchOverhead {

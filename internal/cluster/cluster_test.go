@@ -4,13 +4,29 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/comm"
+	"repro/internal/dataset"
 	"repro/internal/gpu"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
 
+// defaultOptions returns a production-like H100 setup.
+func defaultOptions(seed int64) Options {
+	return Options{
+		Arch:      gpu.H100(),
+		Topo:      comm.Eos(),
+		CPU:       gpu.DefaultCPUModel(),
+		Workers:   10,
+		Prefetch:  32,
+		PrepModel: dataset.DefaultPrepTimeModel(),
+		Seed:      seed,
+		Steps:     6,
+	}
+}
+
 func quickOpts(seed int64) Options {
-	o := DefaultOptions(seed)
+	o := defaultOptions(seed)
 	o.Steps = 3
 	return o
 }

@@ -137,7 +137,7 @@ func BenchmarkSimulateSimWorkers(b *testing.B) {
 	prog := workload.Census(model.FullConfig(), workload.ScaleFold(8))
 	for _, w := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("simworkers=%d", w), func(b *testing.B) {
-			o := DefaultOptions(1)
+			o := defaultOptions(1)
 			o.CUDAGraph = true
 			o.NonBlockingPipeline = true
 			o.SimWorkers = w

@@ -20,7 +20,7 @@ func BenchmarkSimulatePhases(b *testing.B) {
 	cen := workload.ScaleFold(8)
 	cen.TorchCompile = false // Figure 7 predates torch.compile
 	prog := workload.Census(model.FullConfig(), cen)
-	o := DefaultOptions(1)
+	o := defaultOptions(1)
 	o.CUDAGraph = true
 	o.NonBlockingPipeline = true
 	for _, ranks := range []int{256, 1024} {

@@ -82,7 +82,7 @@ func TestSimulatePinnedResults(t *testing.T) {
 			want: pin{2332765820, 2332859126, 1334347274, 457161746, 0, 94889800, 338506491, 52271000, 0, 338742130, 0},
 		},
 	} {
-		o := DefaultOptions(7)
+		o := defaultOptions(7)
 		o.Steps = 4
 		if tc.mut != nil {
 			tc.mut(&o)

@@ -15,7 +15,7 @@ import (
 // ("the training batch size of AlphaFold cannot exceed 256", §2.2).
 const MaxGlobalBatch = 256
 
-// Plan maps ranks to DAP groups and data-parallel replicas.
+// Plan splits the ranks into DAP groups, one per data-parallel replica.
 type Plan struct {
 	TotalRanks int // GPUs participating in training
 	Degree     int // DAP-N: GPUs cooperating on one sample
@@ -43,19 +43,6 @@ func (p Plan) Validate(localBatch int) error {
 		return fmt.Errorf("dap: global batch %d exceeds the %d convergence limit — increase DAP degree", gb, MaxGlobalBatch)
 	}
 	return nil
-}
-
-// GroupOf returns the DAP group index of a rank; ranks are grouped
-// contiguously so a DAP group stays inside one NVLink node when Degree <= 8.
-func (p Plan) GroupOf(rank int) int { return rank / p.Degree }
-
-// GroupRanks returns the member ranks of a DAP group.
-func (p Plan) GroupRanks(group int) []int {
-	out := make([]int, p.Degree)
-	for i := range out {
-		out[i] = group*p.Degree + i
-	}
-	return out
 }
 
 // MaxRanksForBatch returns the largest usable GPU count for a global batch,

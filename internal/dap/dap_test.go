@@ -40,17 +40,6 @@ func TestValidateBatchLimit(t *testing.T) {
 	}
 }
 
-func TestGroupAssignmentContiguous(t *testing.T) {
-	p, _ := NewPlan(32, 8)
-	if p.GroupOf(0) != 0 || p.GroupOf(7) != 0 || p.GroupOf(8) != 1 || p.GroupOf(31) != 3 {
-		t.Fatal("groups must be contiguous blocks of Degree ranks")
-	}
-	g := p.GroupRanks(1)
-	if len(g) != 8 || g[0] != 8 || g[7] != 15 {
-		t.Fatalf("group ranks %v", g)
-	}
-}
-
 func TestMaxRanksForBatch(t *testing.T) {
 	// The paper's headline: DAP-8 scales a 256 batch to 2048 training GPUs.
 	if got := MaxRanksForBatch(256, 8); got != 2048 {

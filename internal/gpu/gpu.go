@@ -7,7 +7,6 @@ package gpu
 
 import (
 	"math"
-	"math/rand"
 	"time"
 )
 
@@ -95,9 +94,9 @@ func (a Arch) KernelDuration(flops, bytes float64, flatEff bool) time.Duration {
 	return time.Duration(t*float64(time.Second)) + a.KernelFixed
 }
 
-// CPUModel generates the host-side noise of §3.1/§3.2: background processes
-// sporadically pinning CPU cores (stretching kernel-launch times), and
-// Python garbage-collection pauses.
+// CPUModel parameterizes the host-side noise of §3.1/§3.2: background
+// processes sporadically pinning CPU cores (stretching kernel-launch times),
+// and Python garbage-collection pauses.
 type CPUModel struct {
 	// PeakProb is the per-launch-window probability that a background CPU
 	// peak is in progress; PeakStretch multiplies launch overhead during one.
@@ -132,29 +131,3 @@ func DefaultCPUModel() CPUModel {
 
 // Quiet returns a CPU model with no noise sources (ablation use).
 func Quiet() CPUModel { return CPUModel{} }
-
-// LaunchCost returns the CPU time to issue `launches` kernels, including
-// noise. rng drives the background-peak draws.
-func (c CPUModel) LaunchCost(a Arch, launches int, rng *rand.Rand) time.Duration {
-	if launches <= 0 {
-		return 0
-	}
-	base := time.Duration(launches) * a.LaunchOverhead
-	total := base
-	// Background peaks: evaluated per 1000-launch window to keep the
-	// simulation cheap while preserving burstiness.
-	windows := launches/1000 + 1
-	for w := 0; w < windows; w++ {
-		if rng.Float64() < c.PeakProb {
-			span := base / time.Duration(windows)
-			total += time.Duration(float64(span) * (c.PeakStretch - 1) * rng.Float64())
-		}
-	}
-	if c.GCEnabled && c.GCInterval > 0 {
-		pauses := launches / c.GCInterval
-		for p := 0; p < pauses; p++ {
-			total += time.Duration(float64(c.GCPause) * (0.5 + rng.Float64()))
-		}
-	}
-	return total
-}

@@ -10,34 +10,23 @@ import "time"
 // overhead.
 type GraphCache struct {
 	captured map[int]bool
-	// CaptureCost is the one-time cost of tracing the step into a graph
-	// (roughly one eager step of extra CPU work).
-	CaptureCost time.Duration
 }
 
-// NewGraphCache returns an empty cache with the given capture cost.
-func NewGraphCache(captureCost time.Duration) *GraphCache {
-	return &GraphCache{captured: map[int]bool{}, CaptureCost: captureCost}
+// NewGraphCache returns an empty cache.
+func NewGraphCache() *GraphCache {
+	return &GraphCache{captured: map[int]bool{}}
 }
 
 // Launch returns the CPU cost of executing a step with `launches` kernels
-// under the graph for recycling scenario `key`: the capture cost on first
-// sight of the key plus one replay, or just one replay thereafter. The
-// per-kernel CPU launch overhead — and with it the sensitivity to CPU
-// peaks — disappears entirely.
-func (g *GraphCache) Launch(a Arch, key int, launches int, c CPUModel, eagerRNGCost time.Duration) time.Duration {
+// under the graph for recycling scenario `key`: the capture cost — one
+// eager pass of launch work — on first sight of the key plus one replay,
+// or just one replay thereafter. The per-kernel CPU launch overhead — and
+// with it the sensitivity to CPU peaks — disappears entirely.
+func (g *GraphCache) Launch(a Arch, key int, launches int) time.Duration {
 	cost := a.GraphReplayOverhead
 	if !g.captured[key] {
 		g.captured[key] = true
-		cap := g.CaptureCost
-		if cap == 0 {
-			// Default: capture costs one eager pass of launch work.
-			cap = time.Duration(launches) * a.LaunchOverhead
-		}
-		cost += cap + eagerRNGCost
+		cost += time.Duration(launches) * a.LaunchOverhead
 	}
 	return cost
 }
-
-// Size returns the number of captured graphs.
-func (g *GraphCache) Size() int { return len(g.captured) }

@@ -361,11 +361,10 @@ func TestClipActuallyBoundsNorm(t *testing.T) {
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	var a, b Stats
-	a.launch(10, 5)
-	b.launch(2, 2)
-	a.Add(b)
-	if a.Launches != 2 || a.BytesRead != 48 || a.BytesWritten != 28 {
-		t.Fatalf("stats %+v", a)
+	var st Stats
+	st.launch(10, 5)
+	st.launch(2, 2)
+	if st.Launches != 2 || st.BytesRead != 48 || st.BytesWritten != 28 || st.Bytes() != 76 {
+		t.Fatalf("stats %+v", st)
 	}
 }

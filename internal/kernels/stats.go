@@ -28,13 +28,6 @@ type Stats struct {
 	BytesWritten int64 // bytes written to "DRAM"
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Launches += other.Launches
-	s.BytesRead += other.BytesRead
-	s.BytesWritten += other.BytesWritten
-}
-
 // Bytes returns the total traffic.
 func (s Stats) Bytes() int64 { return s.BytesRead + s.BytesWritten }
 

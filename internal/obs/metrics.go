@@ -148,44 +148,3 @@ func (h *Histogram) Sum() float64 {
 	}
 	return math.Float64frombits(h.sum.Load())
 }
-
-// Quantile estimates the q-quantile (0 <= q <= 1) by linear interpolation
-// within the bucket holding the target rank — the p50/p99 summaries the
-// run-summary lines print. Observations past the last bound report the last
-// bound (the estimate saturates). Returns 0 on nil or when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(total)
-	cum := 0.0
-	for i := range h.counts {
-		n := float64(h.counts[i].Load())
-		if n == 0 {
-			continue
-		}
-		if cum+n < target {
-			cum += n
-			continue
-		}
-		if i >= len(h.bounds) {
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		return lo + (h.bounds[i]-lo)*(target-cum)/n
-	}
-	return h.bounds[len(h.bounds)-1]
-}

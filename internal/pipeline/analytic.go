@@ -148,23 +148,3 @@ func (a AnalyticSim) Run(stepTime time.Duration) *Timeline {
 	}
 	return tl
 }
-
-// MeanWait is a convenience: the average per-step data wait for the given
-// prep times under either loader at the default prefetch bound (2×Workers),
-// used by the cluster simulator to inject data-pipeline imbalance per rank.
-// Callers modeling a non-default prefetch_factor want MeanWaitPrefetch.
-func MeanWait(prep []time.Duration, workers int, nonBlocking bool, stepTime time.Duration) time.Duration {
-	return MeanWaitPrefetch(prep, workers, 0, nonBlocking, stepTime)
-}
-
-// MeanWaitPrefetch is MeanWait with an explicit prefetch bound: how far
-// issuance may run ahead of consumption before a slow batch blocks the
-// queue. prefetch <= 0 selects the loaders' default of 2×workers, matching
-// AnalyticSim.
-func MeanWaitPrefetch(prep []time.Duration, workers, prefetch int, nonBlocking bool, stepTime time.Duration) time.Duration {
-	tl := AnalyticSim{PrepTimes: prep, Workers: workers, Prefetch: prefetch, NonBlocking: nonBlocking}.Run(stepTime)
-	if len(tl.Wait) == 0 {
-		return 0
-	}
-	return tl.TotalWait() / time.Duration(len(tl.Wait))
-}

@@ -232,37 +232,41 @@ func TestMoreWorkersReduceBlockingWait(t *testing.T) {
 	}
 }
 
+// TestMeanWait checks the per-step mean data wait of a non-blocking
+// timeline: one wait per batch, never negative.
 func TestMeanWait(t *testing.T) {
 	prep := secs(1, 1, 1, 1)
-	mw := MeanWait(prep, 2, true, time.Second)
-	if mw < 0 {
+	tl := AnalyticSim{PrepTimes: prep, Workers: 2, NonBlocking: true}.Run(time.Second)
+	if len(tl.Wait) != len(prep) {
+		t.Fatalf("got %d waits for %d batches", len(tl.Wait), len(prep))
+	}
+	if mw := tl.TotalWait() / time.Duration(len(tl.Wait)); mw < 0 {
 		t.Fatalf("mean wait %v", mw)
 	}
 }
 
-// TestMeanWaitPrefetch pins the prefetch-aware variant: the legacy
-// signature is exactly the prefetch<=0 default (2×workers), an explicit
-// prefetch equal to that default agrees with it, and a tight prefetch=1
-// bound on bursty prep times waits at least as long — the queue slot must
-// free before the next slow batch may start, which MeanWait's dropped
-// Prefetch field used to make unexpressible.
+// TestMeanWaitPrefetch pins AnalyticSim's prefetch bound, which the cluster
+// simulator sets from Options.Prefetch: 0 is exactly the loaders' default
+// of 2×workers, and on bursty prep times a tight prefetch=1 bound waits at
+// least as long as the default — the queue slot must free before the next
+// slow batch may start — while a deep one waits no longer.
 func TestMeanWaitPrefetch(t *testing.T) {
 	prep := secs(8, 1, 1, 1, 8, 1, 1, 1)
 	const workers = 2
-	legacy := MeanWait(prep, workers, false, time.Second)
-	if got := MeanWaitPrefetch(prep, workers, 0, false, time.Second); got != legacy {
-		t.Fatalf("prefetch=0 must match the legacy default: %v vs %v", got, legacy)
+	wait := func(prefetch int) time.Duration {
+		return AnalyticSim{PrepTimes: prep, Workers: workers, Prefetch: prefetch}.Run(time.Second).TotalWait()
 	}
-	if got := MeanWaitPrefetch(prep, workers, 2*workers, false, time.Second); got != legacy {
-		t.Fatalf("explicit default prefetch must match the legacy default: %v vs %v", got, legacy)
+	def := wait(0)
+	if got := wait(2 * workers); got != def {
+		t.Fatalf("explicit default prefetch must match prefetch=0: %v vs %v", got, def)
 	}
-	tight := MeanWaitPrefetch(prep, workers, 1, false, time.Second)
-	if tight < legacy {
-		t.Fatalf("prefetch=1 must not wait less than the default bound: %v vs %v", tight, legacy)
+	tight := wait(1)
+	if tight < def {
+		t.Fatalf("prefetch=1 must not wait less than the default bound: %v vs %v", tight, def)
 	}
-	deep := MeanWaitPrefetch(prep, workers, len(prep), false, time.Second)
-	if deep > legacy {
-		t.Fatalf("deeper prefetch must not wait more than the default bound: %v vs %v", deep, legacy)
+	deep := wait(len(prep))
+	if deep > def {
+		t.Fatalf("deeper prefetch must not wait more than the default bound: %v vs %v", deep, def)
 	}
 	if tight == deep {
 		t.Fatalf("prefetch bound had no effect on bursty prep times (both %v)", tight)

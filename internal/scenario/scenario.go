@@ -160,8 +160,8 @@ func ValidAblation(name string) bool {
 	return false
 }
 
-// Simulator defaults applied by Normalize (the values cluster.DefaultOptions
-// uses); encoding them canonically makes Scenario{Workers: 0} and
+// Simulator defaults applied by Normalize, the setup every figure is pinned
+// with; encoding them canonically makes Scenario{Workers: 0} and
 // Scenario{Workers: 10} the same scenario, as they simulate identically.
 const (
 	defaultWorkers  = 10

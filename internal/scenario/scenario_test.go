@@ -239,8 +239,9 @@ func TestOmittedCensusDAPFollowsGeometry(t *testing.T) {
 }
 
 func TestOptionsMatchesClusterDefaults(t *testing.T) {
-	// The scenario layer's defaults must lower to exactly what
-	// cluster.DefaultOptions produced pre-refactor — the byte-identity of
+	// The scenario layer's defaults must lower to the production-like H100
+	// setup every figure is pinned with (10 loader workers, prefetch 32, 6
+	// steps, Eos topology, the default CPU model) — the byte-identity of
 	// every figure depends on it.
 	s := Scenario{Platform: "H100", Ranks: 128, DAP: 1, Census: workload.Baseline(), Seed: 1}
 	o, err := s.Options()

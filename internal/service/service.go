@@ -91,7 +91,6 @@ type Server struct {
 	st       store.Store[cluster.Result]
 	disk     persistentStore     // nil when memory-only
 	coord    *fabric.Coordinator // nil unless coordinator mode
-	legacy   int                 // pre-Version store keys counted at open
 	slots    chan struct{}       // shared simulation-concurrency pool
 	reg      *obs.Registry
 	log      *slog.Logger
@@ -258,9 +257,6 @@ func New(cfg Config) (*Server, error) {
 		m := store.NewMem[cluster.Result]()
 		m.SetMetrics(store.NewMetrics(s.reg, storeKind))
 		s.st = m
-	}
-	if lg, ok := s.st.(interface{ Legacy() int }); ok {
-		s.legacy = lg.Legacy()
 	}
 	if cfg.Fabric != nil {
 		// Share the server's registry and logger with the coordinator unless
@@ -455,7 +451,7 @@ func (s *Server) Cancel(id string) (JobStatus, bool) {
 
 // StoreStatus reports the persistent store's state.
 func (s *Server) StoreStatus() StoreStatus {
-	st := StoreStatus{Keys: s.st.Len(), LegacyKeys: s.legacy, Simulations: s.met.exactCells.Value()}
+	st := StoreStatus{Keys: s.st.Len(), Simulations: s.met.exactCells.Value()}
 	if lg, ok := s.st.(interface{ Legacy() int }); ok {
 		st.LegacyKeys = lg.Legacy() // live count: compaction sheds legacy keys
 	}

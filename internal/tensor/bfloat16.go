@@ -43,10 +43,3 @@ func QuantizeBF16(t *Tensor) *Tensor {
 	}
 	return t
 }
-
-// BF16Bytes returns the number of bytes n float32 values occupy after the
-// bf16 conversion (used by the simulator's traffic accounting).
-func BF16Bytes(n int) int { return 2 * n }
-
-// F32Bytes returns the number of bytes n float32 values occupy.
-func F32Bytes(n int) int { return 4 * n }

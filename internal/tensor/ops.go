@@ -93,56 +93,6 @@ func TMatMul(a, b *Tensor) *Tensor {
 	return c
 }
 
-// Transpose2D returns Aᵀ for a rank-2 tensor.
-func Transpose2D(a *Tensor) *Tensor {
-	m, n := a.Dim(0), a.Dim(1)
-	c := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			c.Data[j*m+i] = a.Data[i*n+j]
-		}
-	}
-	return c
-}
-
-// Softmax computes a row-wise softmax over the last dimension, returning a
-// new tensor. Rows are treated as contiguous slices of length lastDim.
-func Softmax(a *Tensor) *Tensor {
-	out := a.Clone()
-	SoftmaxInPlace(out)
-	return out
-}
-
-// SoftmaxInPlace applies a numerically stable row-wise softmax over the last
-// dimension of a.
-func SoftmaxInPlace(a *Tensor) {
-	last := a.Dim(a.Rank() - 1)
-	rows := a.Len() / last
-	for r := 0; r < rows; r++ {
-		row := a.Data[r*last : (r+1)*last]
-		softmaxRow(row)
-	}
-}
-
-func softmaxRow(row []float32) {
-	mx := float32(math.Inf(-1))
-	for _, v := range row {
-		if v > mx {
-			mx = v
-		}
-	}
-	var sum float32
-	for i, v := range row {
-		e := float32(math.Exp(float64(v - mx)))
-		row[i] = e
-		sum += e
-	}
-	inv := 1 / sum
-	for i := range row {
-		row[i] *= inv
-	}
-}
-
 // Sigmoid applies the logistic function elementwise, returning a new tensor.
 func Sigmoid(a *Tensor) *Tensor {
 	out := New(a.Shape()...)
@@ -167,21 +117,4 @@ func ReLU(a *Tensor) *Tensor {
 func Row(a *Tensor, i int) []float32 {
 	n := a.Dim(a.Rank() - 1)
 	return a.Data[i*n : (i+1)*n]
-}
-
-// Stack concatenates tensors of identical shape along a new leading axis.
-func Stack(ts []*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("tensor: Stack of zero tensors")
-	}
-	shape := append([]int{len(ts)}, ts[0].Shape()...)
-	out := New(shape...)
-	n := ts[0].Len()
-	for i, t := range ts {
-		if !t.SameShape(ts[0]) {
-			panic(fmt.Sprintf("tensor: Stack shape mismatch %v vs %v", t.Shape(), ts[0].Shape()))
-		}
-		copy(out.Data[i*n:(i+1)*n], t.Data)
-	}
-	return out
 }

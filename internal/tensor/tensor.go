@@ -202,21 +202,6 @@ func (t *Tensor) Mean() float64 {
 	return t.Sum() / float64(len(t.Data))
 }
 
-// MaxAbs returns the largest absolute element value.
-func (t *Tensor) MaxAbs() float32 {
-	var m float32
-	for _, v := range t.Data {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Norm returns the L2 norm of all elements in float64 precision.
 func (t *Tensor) Norm() float64 {
 	var s float64
@@ -224,19 +209,6 @@ func (t *Tensor) Norm() float64 {
 		s += float64(v) * float64(v)
 	}
 	return math.Sqrt(s)
-}
-
-// Equal reports whether t and u agree elementwise within tol.
-func (t *Tensor) Equal(u *Tensor, tol float64) bool {
-	if !t.SameShape(u) {
-		return false
-	}
-	for i := range t.Data {
-		if math.Abs(float64(t.Data[i])-float64(u.Data[i])) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // MaxDiff returns the maximum elementwise absolute difference between t and u.

@@ -113,9 +113,6 @@ func TestReductions(t *testing.T) {
 	if a.Mean() != 0.5 {
 		t.Fatalf("Mean = %v", a.Mean())
 	}
-	if a.MaxAbs() != 4 {
-		t.Fatalf("MaxAbs = %v", a.MaxAbs())
-	}
 	if math.Abs(a.Norm()-math.Sqrt(26)) > 1e-12 {
 		t.Fatalf("Norm = %v", a.Norm())
 	}
@@ -139,12 +136,12 @@ func TestMatMulVariantsConsistent(t *testing.T) {
 	b := New(7, 3).RandN(rng, 1)
 	c := MatMul(a, b)
 	// A·B == A·(Bᵀ)ᵀ via MatMulT.
-	ct := MatMulT(a, Transpose2D(b))
+	ct := MatMulT(a, transpose2D(b))
 	if c.MaxDiff(ct) > 1e-5 {
 		t.Fatalf("MatMulT disagrees with MatMul by %v", c.MaxDiff(ct))
 	}
 	// A·B == (Aᵀ)ᵀ·B via TMatMul.
-	c2 := TMatMul(Transpose2D(a), b)
+	c2 := TMatMul(transpose2D(a), b)
 	if c.MaxDiff(c2) > 1e-5 {
 		t.Fatalf("TMatMul disagrees with MatMul by %v", c.MaxDiff(c2))
 	}
@@ -159,47 +156,27 @@ func TestMatMulShapeMismatchPanics(t *testing.T) {
 	MatMul(New(2, 3), New(4, 2))
 }
 
+// transpose2D returns Aᵀ for a rank-2 tensor: the reference the MatMul
+// variants are checked against.
+func transpose2D(a *Tensor) *Tensor {
+	m, n := a.Dim(0), a.Dim(1)
+	c := New(n, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			c.Data[j*m+i] = a.Data[i*n+j]
+		}
+	}
+	return c
+}
+
 func TestTranspose2D(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	at := Transpose2D(a)
+	at := transpose2D(a)
 	if at.Dim(0) != 3 || at.Dim(1) != 2 {
 		t.Fatalf("shape %v", at.Shape())
 	}
 	if at.At(2, 1) != 6 || at.At(0, 1) != 4 {
 		t.Fatalf("bad transpose %v", at.Data)
-	}
-}
-
-func TestSoftmaxRowsSumToOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := New(6, 9).RandN(rng, 3)
-	s := Softmax(a)
-	for r := 0; r < 6; r++ {
-		var sum float64
-		for _, v := range Row(s, r) {
-			if v < 0 || v > 1 {
-				t.Fatalf("softmax value out of range: %v", v)
-			}
-			sum += float64(v)
-		}
-		if math.Abs(sum-1) > 1e-5 {
-			t.Fatalf("row %d sums to %v", r, sum)
-		}
-	}
-}
-
-func TestSoftmaxStableForLargeLogits(t *testing.T) {
-	a := FromSlice([]float32{1e4, 1e4 + 1, 1e4 - 2}, 1, 3)
-	s := Softmax(a)
-	var sum float64
-	for _, v := range s.Data {
-		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-			t.Fatalf("softmax overflow: %v", s.Data)
-		}
-		sum += float64(v)
-	}
-	if math.Abs(sum-1) > 1e-5 {
-		t.Fatalf("sum %v", sum)
 	}
 }
 
@@ -219,23 +196,11 @@ func TestReLU(t *testing.T) {
 	}
 }
 
-func TestStack(t *testing.T) {
-	a := FromSlice([]float32{1, 2}, 2)
-	b := FromSlice([]float32{3, 4}, 2)
-	s := Stack([]*Tensor{a, b})
-	if s.Dim(0) != 2 || s.Dim(1) != 2 || s.At(1, 0) != 3 {
-		t.Fatalf("stack %v %v", s.Shape(), s.Data)
-	}
-}
-
 func TestEqualAndMaxDiff(t *testing.T) {
 	a := FromSlice([]float32{1, 2}, 2)
 	b := FromSlice([]float32{1, 2.0001}, 2)
-	if !a.Equal(b, 1e-3) {
-		t.Fatal("Equal within tol should hold")
-	}
-	if a.Equal(b, 1e-6) {
-		t.Fatal("Equal outside tol should fail")
+	if d := a.MaxDiff(a.Clone()); d != 0 {
+		t.Fatalf("MaxDiff of equal tensors %v", d)
 	}
 	if d := a.MaxDiff(b); d < 9e-5 || d > 2e-4 {
 		t.Fatalf("MaxDiff %v", d)
@@ -253,25 +218,6 @@ func TestMatMulDistributiveProperty(t *testing.T) {
 		left := MatMul(a.Clone().Add(b), c)
 		right := MatMul(a, c).Add(MatMul(b, c))
 		return left.MaxDiff(right) < 1e-4
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: softmax is shift-invariant: softmax(x) == softmax(x + c).
-func TestSoftmaxShiftInvarianceProperty(t *testing.T) {
-	f := func(seed int64, shift float32) bool {
-		if shift != shift || shift > 1e3 || shift < -1e3 {
-			shift = 1.5
-		}
-		rng := rand.New(rand.NewSource(seed))
-		a := New(3, 8).RandN(rng, 2)
-		b := a.Clone()
-		for i := range b.Data {
-			b.Data[i] += shift
-		}
-		return Softmax(a).MaxDiff(Softmax(b)) < 1e-5
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -336,11 +282,5 @@ func TestQuantizeBF16InPlace(t *testing.T) {
 		if RoundBF16(v) != v {
 			t.Fatalf("value %v is not a bf16 fixed point", v)
 		}
-	}
-}
-
-func TestByteAccounting(t *testing.T) {
-	if BF16Bytes(10) != 20 || F32Bytes(10) != 40 {
-		t.Fatal("byte accounting wrong")
 	}
 }

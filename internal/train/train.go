@@ -83,8 +83,8 @@ func (t *Trainer) TrainStep(batch []*dataset.Sample) float64 {
 	}
 	tape := ag.NewTape()
 	t.Model.Params.Rebind(tape)
-	// The featurization RNG is a pure function of the step counter so a
-	// run resumed from a checkpoint replays identically.
+	// The featurization RNG is a pure function of the seed and the step
+	// counter, so every step's crops replay identically.
 	rng := rand.New(rand.NewSource(t.Cfg.Seed*31 + int64(t.step)))
 	var total float64
 	for _, s := range batch {
