@@ -2,12 +2,16 @@ package scalefold
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/internal/cluster"
@@ -315,6 +319,24 @@ func TestStepConfigDeterministic(t *testing.T) {
 	}
 }
 
+// figure4Pin summarizes the Figure 4 curve for the golden file: the
+// quantiles `scalefold fig4` prints, at full precision, and a SHA-256 over
+// every value's float64 bits, so a one-bit move anywhere in the curve fails.
+func figure4Pin(curve []float64) map[string]any {
+	n := len(curve)
+	quant := map[string]float64{}
+	for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1} {
+		quant[strconv.FormatFloat(q, 'g', -1, 64)] = curve[int(q*float64(n-1))]
+	}
+	h := sha256.New()
+	var b [8]byte
+	for _, v := range curve {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return map[string]any{"n": n, "quantiles": quant, "sha256": hex.EncodeToString(h.Sum(nil))}
+}
+
 // TestFiguresPinned pins every value the figure runners return to
 // testdata/figures.golden, so a refactor of the simulator, the estimator or
 // the census memo that moves one bit of a reproduced figure fails here
@@ -328,6 +350,7 @@ func TestFiguresPinned(t *testing.T) {
 	got, err := json.MarshalIndent(map[string]any{
 		"table1":           Table1(),
 		"figure3":          Figure3All(figures),
+		"figure4":          figure4Pin(PrepTimeCurve(20000)),
 		"figure7":          Figure7(figures),
 		"figure8":          Ladder(figures),
 		"baseline_dap":     BaselineDAPSpeedups(figures),
