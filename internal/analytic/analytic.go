@@ -42,22 +42,20 @@ import (
 // scenarios with ranks <= sampleRanks the waits are exact.
 const sampleRanks = 4
 
-// prepCache memoizes the sampled pseudo-ranks' Skeleton.RankPrep streams.
-// A stream is a pure function of its key — seed, pseudo-rank, epoch length
-// and prep model — so every cell of a grid sweep that shares those shares
-// the entry. Producing one draw re-seeds a keyed math/rand source (~10µs to
-// refill its lagged-Fibonacci state), which profiling shows is ~90% of a
-// cold Estimate. One entry is a few hundred bytes; callers treat the cached
-// slice as read-only. The cache is process-wide and never evicts.
-var prepCache = sweep.NewCache[[]time.Duration]()
-
-// sampledPrepTimes returns pseudo-rank r's prep-time stream for one warm
-// epoch — the simulator's own stream for that rank — through prepCache.
-func sampledPrepTimes(sk *cluster.Skeleton, r int) []time.Duration {
+// sampledPrepTimes returns the prep-time streams of pseudo-ranks 0..n-1 for
+// one warm epoch each — the simulator's own streams for those ranks —
+// through memo when there is one. The streams are a pure function of their
+// key — seed, rank count, epoch length and prep model — so every cell of a
+// run that shares those shares the entry; callers treat the cached slices
+// as read-only.
+func sampledPrepTimes(sk *cluster.Skeleton, n int, memo *sweep.Cache[[][]time.Duration]) [][]time.Duration {
+	if memo == nil {
+		return sk.RankPreps(n)
+	}
 	o := &sk.Opts
-	key := fmt.Sprintf("%d|%d|%d|%v", o.Seed, r, sk.Epoch, o.PrepModel)
-	prep, _ := prepCache.Do(key, func() []time.Duration { return sk.RankPrep(r) })
-	return prep
+	key := fmt.Sprintf("%d|%d|%d|%v", o.Seed, n, sk.Epoch, o.PrepModel)
+	preps, _ := memo.Do(key, func() [][]time.Duration { return sk.RankPreps(n) })
+	return preps
 }
 
 // Estimate produces a closed-form cluster.Result for the scenario plus the
@@ -65,8 +63,18 @@ func sampledPrepTimes(sk *cluster.Skeleton, r int) []time.Duration {
 // ignored here — an estimate describes the same physical scenario whatever
 // key generation it is stored under; mode handling (store keys, escalation)
 // belongs to the sweep layer. Invalid scenarios return the same typed error
-// Validate would.
+// Validate would. It keeps no memo: EstimateWith(s, nil).
 func Estimate(s scenario.Scenario) (cluster.Result, Bounds, error) {
+	return EstimateWith(s, nil)
+}
+
+// EstimateWith is Estimate with the sampled pseudo-ranks' prep streams
+// memoized in memo, when it is not nil. Those streams are most of an
+// estimate's cost, and the cells of one run often share them: every probe
+// of a search shares its seed. The caller owns the memo and bounds its
+// lifetime — a scalefold.Resolver keeps one for its run — so the package
+// holds no state that outlives a run.
+func EstimateWith(s scenario.Scenario, memo *sweep.Cache[[][]time.Duration]) (cluster.Result, Bounds, error) {
 	o, err := s.Options()
 	if err != nil {
 		return cluster.Result{}, Bounds{}, err
@@ -89,8 +97,8 @@ func Estimate(s scenario.Scenario) (cluster.Result, Bounds, error) {
 	stepMaxWait := make([]time.Duration, o.Steps)
 	stepMeanWait := make([]float64, o.Steps)
 	var waitSum time.Duration
-	for r := 0; r < rSample; r++ {
-		for st, w := range sk.RankWaits(sampledPrepTimes(&sk, r)) {
+	for _, prep := range sampledPrepTimes(&sk, rSample, memo) {
+		for st, w := range sk.RankWaits(prep) {
 			waitSum += w
 			stepMeanWait[st] += sec(w) / float64(rSample)
 			if w > stepMaxWait[st] {

@@ -341,19 +341,24 @@ func NewSkeleton(prog *workload.Program, ranks, dapDegree int, o Options) (Skele
 	return s, nil
 }
 
-// RankPrep returns rank r's batch-preparation times for one epoch, the
-// stream the data-wait phase replays for that rank. Prep times come from the
-// geometry-only dataset path: the cost model reads nothing but the sample's
-// index, sequence length and MSA size, so no protein is folded and no MSA
+// RankPreps returns the batch-preparation times of ranks 0..n-1 for one
+// epoch each, the streams the data-wait phase replays for those ranks,
+// drawn on one pair of samplers. Prep times come from the geometry-only
+// dataset path: the cost model reads nothing but the sample's index,
+// sequence length and MSA size, so no protein is folded and no MSA
 // allocated just to be timed.
-func (s *Skeleton) RankPrep(r int) []time.Duration {
-	prep := make([]time.Duration, s.Epoch)
-	s.rankPrep(s.gen.Sampler(), s.Opts.PrepModel.Timer(), r, prep)
-	return prep
+func (s *Skeleton) RankPreps(n int) [][]time.Duration {
+	gs, pt := s.gen.Sampler(), s.Opts.PrepModel.Timer()
+	preps := make([][]time.Duration, n)
+	for r := range preps {
+		preps[r] = make([]time.Duration, s.Epoch)
+		s.rankPrep(gs, pt, r, preps[r])
+	}
+	return preps
 }
 
-// rankPrep is RankPrep into a caller's buffer with caller-owned draw state,
-// which the data-wait phase reuses across the ranks of a shard.
+// rankPrep fills rank r's stream into a caller's buffer with caller-owned
+// draw state, which the data-wait phase reuses across the ranks of a shard.
 func (s *Skeleton) rankPrep(gs *dataset.GeomSampler, pt *dataset.PrepTimer, r int, prep []time.Duration) {
 	for k := range prep {
 		idx := r*s.Epoch + k
@@ -395,9 +400,11 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) (Result, 
 
 // dataWaits is the data-wait precompute: every rank's steady-state
 // data-pipeline waits, rank-major (rank r's wait for step s at
-// [r*Steps+s]). Ranks are independent (the generator is stateless per
-// index, the timer reseeds per index), so the precompute shards across the
-// worker pool.
+// [r*Steps+s]). Every sample index draws its geometry and its prep time
+// from streams keyed by the index alone, so ranks are independent and the
+// precompute shards across the worker pool. The samplers switch streams in
+// O(1) (package keyrand); what is left is the draws themselves, chiefly
+// the geometry's one draw per residue.
 func (s *Skeleton) dataWaits() []time.Duration {
 	ranks, steps := s.Plan.TotalRanks, s.Opts.Steps
 	waits := make([]time.Duration, ranks*steps)
@@ -453,15 +460,11 @@ func (s *Skeleton) advance(rr *rand.Rand, gpuChunk, cpuChunk time.Duration) time
 // across workers; reduce assembles the global all-reduce afterwards.
 func (s *Skeleton) march(waits []time.Duration) []groupStep {
 	o, ranks := &s.Opts, s.Plan.TotalRanks
-	rankRNGs := make([]*rand.Rand, ranks)
-	for r := range rankRNGs {
-		rankRNGs[r] = rand.New(rand.NewSource(o.Seed*31 + int64(r)))
-	}
 
 	// Perturbation streams: one private RNG stream per rank, disjoint from
-	// the execution-jitter streams above, drawn in step order. Disabled
-	// specs allocate nothing and draw nothing, so the unperturbed
-	// simulation is bit-identical to a build without this layer.
+	// the execution-jitter streams (seeded per group below), drawn in step
+	// order. Disabled specs allocate nothing and draw nothing, so the
+	// unperturbed simulation is bit-identical to a build without this layer.
 	perturbed := o.Perturb.Enabled()
 	var perturbs []*perturb.Stream
 	if perturbed {
@@ -475,21 +478,28 @@ func (s *Skeleton) march(waits []time.Duration) []groupStep {
 	cpuChunk := s.CPUExposedStep / time.Duration(s.Intervals)
 	stats := make([]groupStep, s.Groups*steps)
 	runSharded(o.SimWorkers, s.Groups, func(glo, ghi int) {
-		// Reusable per-worker scratch — the now-buffer and the per-rank
-		// chunk durations: the steady-state step loop below allocates
-		// nothing. Unperturbed, every rank's chunks are the shared scalars;
-		// perturbed, each group's entries are rescaled by its ranks'
-		// persistent straggler factors.
+		// Reusable per-worker scratch — the group's jitter RNGs, the
+		// now-buffer and the per-rank chunk durations: the steady-state
+		// step loop below allocates nothing. A group marches through every
+		// step before the next starts, so reseeding the RNGs at a group's
+		// start gives each rank its own stream from the top, as one source
+		// per rank would. Unperturbed, every rank's chunks are the shared
+		// scalars; perturbed, each group's entries are rescaled by its
+		// ranks' persistent straggler factors.
+		rngs := make([]*rand.Rand, gsize)
 		now := make([]time.Duration, gsize)
 		gpuChunks := make([]time.Duration, gsize)
 		cpuChunks := make([]time.Duration, gsize)
 		for i := 0; i < gsize; i++ {
+			rngs[i] = rand.New(rand.NewSource(0))
 			gpuChunks[i] = s.PerRankChunk
 			cpuChunks[i] = cpuChunk
 		}
 		for g := glo; g < ghi; g++ {
 			base := g * gsize
-			rngs := rankRNGs[base : base+gsize]
+			for i, rr := range rngs {
+				rr.Seed(o.Seed*31 + int64(base+i))
+			}
 			if perturbed && s.March {
 				for i := range gpuChunks {
 					f := perturbs[base+i].Factor()

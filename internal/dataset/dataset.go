@@ -15,6 +15,8 @@ package dataset
 import (
 	"math"
 	"math/rand"
+
+	"repro/internal/keyrand"
 )
 
 // NumResidueTypes is the amino-acid alphabet size (20 + unknown).
@@ -95,10 +97,12 @@ func (g *Generator) Geometry(idx int) (seqLen, msaSize int) {
 	return g.geometry(g.rngFor(idx))
 }
 
-// GeomSampler evaluates Geometry with a reusable RNG, eliminating the
-// per-call generator allocation on hot loops (the cluster simulator asks for
-// tens of thousands of geometries per run). Not safe for concurrent use;
-// give each goroutine its own.
+// GeomSampler evaluates Geometry on one reused keyed RNG (package keyrand),
+// for hot loops: the cluster simulator asks for tens of thousands of
+// geometries per run. A keyed reseed is O(1) where a math/rand reseed
+// refills the whole 607-word register, so what an index costs is its draws:
+// the length draw, one draw per residue, the MSA-size draw. Not safe for
+// concurrent use; give each goroutine its own.
 type GeomSampler struct {
 	g   *Generator
 	rng *rand.Rand
@@ -106,11 +110,11 @@ type GeomSampler struct {
 
 // Sampler returns a reusable geometry sampler over g.
 func (g *Generator) Sampler() *GeomSampler {
-	return &GeomSampler{g: g, rng: rand.New(rand.NewSource(0))}
+	return &GeomSampler{g: g, rng: rand.New(keyrand.New(0))}
 }
 
-// Geometry is Generator.Geometry without the per-call RNG allocation:
-// reseeding positions the reused RNG exactly where a fresh one would start.
+// Geometry equals Generator.Geometry bit for bit: the keyed source, reseeded
+// with the index's key, draws exactly what a fresh math/rand source would.
 func (s *GeomSampler) Geometry(idx int) (seqLen, msaSize int) {
 	s.rng.Seed(s.g.seed*1_000_003 + int64(idx))
 	return s.g.geometry(s.rng)

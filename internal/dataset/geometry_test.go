@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"math"
 	"testing"
 )
 
@@ -35,12 +36,14 @@ func TestGeometryMatchesSample(t *testing.T) {
 
 // TestDurationAtMatchesDuration pins the prep-time side of the fast path:
 // DurationAt on the geometry must be bit-identical to Duration on the
-// materialized sample, with and without the reusable-RNG evaluator.
+// materialized sample. It is also the keyed-vs-math/rand differential test
+// of the timer: PrepTimeModel.DurationAt draws from a fresh math/rand
+// source, PrepTimer from one reused keyrand source reseeded per index.
 func TestDurationAtMatchesDuration(t *testing.T) {
 	g := NewGenerator(11)
 	m := DefaultPrepTimeModel()
 	pt := m.Timer()
-	for _, seed := range []int64{1, 7, 9} {
+	for _, seed := range []int64{1, 7, 9, -3, math.MaxInt64/7_919 + 1} {
 		for idx := 0; idx < 500; idx++ {
 			s := g.Sample(idx)
 			want := m.Duration(s, seed)
@@ -54,18 +57,26 @@ func TestDurationAtMatchesDuration(t *testing.T) {
 	}
 }
 
-// TestGeomSamplerReseedExact guards the reuse trick itself: a reused RNG
-// that visits indices out of order must still agree with fresh-RNG calls —
-// Seed fully resets the generator state.
+// TestGeomSamplerReseedExact is the keyed-vs-math/rand differential test of
+// the geometry sampler: one reused keyrand source, visiting indices out of
+// order and revisiting some, must agree with a fresh math/rand source per
+// call (Generator.Geometry) — a keyed reseed fully resets the stream, and
+// no register word survives from the previous index. The generator seeds
+// include a negative one and one whose keys wrap int64.
 func TestGeomSamplerReseedExact(t *testing.T) {
-	g := NewGenerator(42)
-	gs := g.Sampler()
 	order := []int{5, 0, 99, 5, 17, 0}
-	for _, idx := range order {
-		al, am := gs.Geometry(idx)
-		bl, bm := g.Geometry(idx)
-		if al != bl || am != bm {
-			t.Fatalf("idx %d: reused RNG (%d,%d) != fresh RNG (%d,%d)", idx, al, am, bl, bm)
+	for i := 0; i < 200; i++ {
+		order = append(order, (i*7919)%1009)
+	}
+	for _, seed := range []int64{42, -9, math.MaxInt64/1_000_003 + 1} {
+		g := NewGenerator(seed)
+		gs := g.Sampler()
+		for _, idx := range order {
+			al, am := gs.Geometry(idx)
+			bl, bm := g.Geometry(idx)
+			if al != bl || am != bm {
+				t.Fatalf("seed %d idx %d: keyed RNG (%d,%d) != math/rand (%d,%d)", seed, idx, al, am, bl, bm)
+			}
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"time"
+
+	"repro/internal/keyrand"
 )
 
 // PrepTimeModel reproduces the Figure 4 distribution of batch preparation
@@ -84,9 +86,11 @@ func (m PrepTimeModel) durationAt(rng *rand.Rand, seqLen, msaSize int) time.Dura
 	return time.Duration(t * float64(time.Second))
 }
 
-// PrepTimer evaluates a PrepTimeModel with a reusable RNG — DurationAt
-// without the per-call generator allocation. Not safe for concurrent use;
-// give each goroutine its own.
+// PrepTimer evaluates a PrepTimeModel on one reused keyed RNG (package
+// keyrand). An index draws at most four values, so a math/rand reseed, which
+// refills the whole 607-word register, would be nearly all of its cost; a
+// keyed reseed is O(1) and derives only the words those draws read. Not
+// safe for concurrent use; give each goroutine its own.
 type PrepTimer struct {
 	m   PrepTimeModel
 	rng *rand.Rand
@@ -94,11 +98,12 @@ type PrepTimer struct {
 
 // Timer returns a reusable evaluator over m.
 func (m PrepTimeModel) Timer() *PrepTimer {
-	return &PrepTimer{m: m, rng: rand.New(rand.NewSource(0))}
+	return &PrepTimer{m: m, rng: rand.New(keyrand.New(0))}
 }
 
-// DurationAt matches PrepTimeModel.DurationAt bit for bit: reseeding
-// positions the reused RNG exactly where a fresh one would start.
+// DurationAt matches PrepTimeModel.DurationAt bit for bit: the keyed source,
+// reseeded with the index's key, draws exactly what a fresh math/rand source
+// would.
 func (t *PrepTimer) DurationAt(idx, seqLen, msaSize int, seed int64) time.Duration {
 	t.rng.Seed(seed*7_919 + int64(idx))
 	return t.m.durationAt(t.rng, seqLen, msaSize)

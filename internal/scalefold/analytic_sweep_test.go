@@ -2,6 +2,7 @@ package scalefold
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -221,6 +222,35 @@ func TestAnalyticCellsNeverDispatch(t *testing.T) {
 	}
 	if met.Remote.Load() != 0 {
 		t.Errorf("Remote = %d, want 0", met.Remote.Load())
+	}
+}
+
+// TestResolverOwnsPrepMemo pins where the estimator's prep memo lives: in
+// the Resolver. A zero Resolver resolves an auto cell; the lowering estimate
+// fills the memo with the sampled pseudo-ranks' streams, the analytic
+// resolution reads that entry back without adding another, and the Result
+// equals a memo-less Estimate's.
+func TestResolverOwnsPrepMemo(t *testing.T) {
+	c := Figure7Config("H100", 64, 2)
+	c.Scenario.Mode = scenario.ModeAuto
+	var r Resolver
+	res, src, err := r.Resolve(t.Context(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src != FromEstimate {
+		t.Fatalf("healthy auto cell resolved from %q, want %q", src, FromEstimate)
+	}
+	if n := r.prep.Len(); n != 1 {
+		t.Errorf("memo holds %d entries after one cell, want 1", n)
+	}
+	c.Scenario.Mode = scenario.ModeAnalytic
+	want, _, err := analytic.Estimate(c.Scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Errorf("memoized estimate %+v != memo-less %+v", res, want)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/store"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -43,7 +44,10 @@ type SweepMetrics struct {
 // or dispatches, writes results through and counts how each cell was
 // satisfied: sweeps, resilience sweeps, searches, the figure runners and
 // fabric workers all resolve through one. The zero value resolves locally
-// with no store, no counters and no concurrency bound. Set the fields before
+// with no store, no counters and no concurrency bound. A Resolver memoizes
+// the estimator's sampled prep streams for its life — one service job, one
+// CLI command, one fabric worker — so estimates that share a seed share
+// them, and the memo is freed with the Resolver. Set the fields before
 // first use and do not copy a Resolver after it.
 type Resolver struct {
 	// Store, when non-nil, backs resolution persistently: a stored result
@@ -75,7 +79,8 @@ type Resolver struct {
 	// than the round trip. A Remote error fails the cell.
 	Remote func(ctx context.Context, c StepConfig) (cluster.Result, error)
 
-	own    SweepMetrics // counts when Metrics is nil
+	own    SweepMetrics                   // counts when Metrics is nil
+	prep   sweep.Cache[[][]time.Duration] // the estimator's prep-stream memo, for this Resolver's life
 	laneMu sync.Mutex
 	free   []int // released trace lanes
 	opened int   // trace lanes opened so far
@@ -143,7 +148,7 @@ func (r *Resolver) Resolve(ctx context.Context, c StepConfig) (res cluster.Resul
 	switch {
 	case c.Mode == scenario.ModeAnalytic:
 		t0 := time.Now()
-		if res, _, err = analytic.Estimate(c.Scenario); err != nil {
+		if res, _, err = analytic.EstimateWith(c.Scenario, &r.prep); err != nil {
 			return cluster.Result{}, "", err
 		}
 		if r.OnEstimate != nil {
@@ -191,7 +196,7 @@ func (r *Resolver) resolveMode(n scenario.Scenario, mode string) scenario.Scenar
 		n.Mode = mode
 	}
 	if n.Mode == scenario.ModeAuto {
-		if _, b, err := analytic.Estimate(n); err != nil || analytic.ShouldEscalate(b) {
+		if _, b, err := analytic.EstimateWith(n, &r.prep); err != nil || analytic.ShouldEscalate(b) {
 			n.Mode = ""
 			r.m().Escalated.Add(1)
 		} else {

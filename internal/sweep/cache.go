@@ -5,7 +5,8 @@ import "sync"
 // Cache memoizes scenario results by canonical fingerprint. It is safe for
 // concurrent use and deduplicates in-flight work: when two workers reach the
 // same key at once, one computes and the other blocks on the result
-// (singleflight semantics), so a repeated cell never runs twice.
+// (singleflight semantics), so a repeated cell never runs twice. The zero
+// value is an empty cache ready to use.
 type Cache[R any] struct {
 	mu sync.Mutex
 	m  map[string]*cacheEntry[R]
@@ -18,7 +19,7 @@ type cacheEntry[R any] struct {
 
 // NewCache returns an empty result cache.
 func NewCache[R any]() *Cache[R] {
-	return &Cache[R]{m: map[string]*cacheEntry[R]{}}
+	return new(Cache[R])
 }
 
 // Do returns the cached result for key, computing it with f on first use.
@@ -28,6 +29,9 @@ func (c *Cache[R]) Do(key string, f func() R) (R, bool) {
 	c.mu.Lock()
 	e, hit := c.m[key]
 	if !hit {
+		if c.m == nil {
+			c.m = map[string]*cacheEntry[R]{}
+		}
 		e = &cacheEntry[R]{}
 		c.m[key] = e
 	}

@@ -153,8 +153,10 @@ func TestMemoizationIdenticalToColdRun(t *testing.T) {
 	}
 }
 
+// TestCacheDeduplicatesRepeatedCells runs on a zero Cache, which must be
+// an empty cache ready to use.
 func TestCacheDeduplicatesRepeatedCells(t *testing.T) {
-	cache := NewCache[int]()
+	var cache Cache[int]
 	var calls atomic.Int64
 	cells := []Cell[int]{
 		{Key: "shared", Config: 1},
@@ -162,7 +164,7 @@ func TestCacheDeduplicatesRepeatedCells(t *testing.T) {
 		{Key: "unique", Config: 2},
 		{Key: "shared", Config: 1},
 	}
-	eng := Engine[int, int]{Workers: 4, Cache: cache}
+	eng := Engine[int, int]{Workers: 4, Cache: &cache}
 	res := eng.Run(cells, func(v int) int {
 		calls.Add(1)
 		return v * 10
