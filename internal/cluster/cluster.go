@@ -403,8 +403,10 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) (Result, 
 // [r*Steps+s]). Every sample index draws its geometry and its prep time
 // from streams keyed by the index alone, so ranks are independent and the
 // precompute shards across the worker pool. The samplers switch streams in
-// O(1) (package keyrand); what is left is the draws themselves, chiefly
-// the geometry's one draw per residue.
+// O(1) (package keyrand), and the geometry passes over its discarded
+// residue draws with keyrand.SkipInt31n, at about one modular
+// multiplication per register word the skip reads; that skip is still
+// most of the phase.
 func (s *Skeleton) dataWaits() []time.Duration {
 	ranks, steps := s.Plan.TotalRanks, s.Opts.Steps
 	waits := make([]time.Duration, ranks*steps)

@@ -58,7 +58,7 @@ func (g *Generator) rngFor(idx int) *rand.Rand {
 }
 
 // drawLen and drawMSASize are the geometry draws of the sample sequence,
-// shared by Sample and the geometry fast path so the two can never
+// shared by Sample, Geometry and GeomSampler so they can never
 // desynchronize — there is exactly one definition of each draw.
 func (g *Generator) drawLen(rng *rand.Rand) int {
 	length := g.MinLen
@@ -74,12 +74,17 @@ func drawMSASize(rng *rand.Rand) int {
 	return 16 + int(math.Abs(rng.NormFloat64())*2000)
 }
 
-// geometry replays the geometry prefix of the sample draw sequence on rng —
-// the length draw, the length residue draws, the MSA-size draw — and returns
-// the pre-crop geometry. The residue values are drawn and discarded: the
-// MSA-size draw must observe the exact RNG state Sample's would, so the
-// prefix is consumed, just never materialized.
-func (g *Generator) geometry(rng *rand.Rand) (seqLen, msaSize int) {
+// Geometry returns the pre-crop geometry of the idx-th sample — SeqLen and
+// MSASize, the only fields batch-preparation cost depends on — without
+// folding the protein or allocating the sequence, coordinates or MSA. It is
+// guaranteed to equal Sample(idx).SeqLen / .MSASize: it replays Sample's
+// draw prefix (the length draw, a draw per residue, the MSA-size draw) and
+// discards the residues, so the MSA-size draw sees the RNG state Sample's
+// does. It is the reference for GeomSampler, which the step
+// simulator and the Figure 4 curve run on; Sample is for callers that train
+// on the data.
+func (g *Generator) Geometry(idx int) (seqLen, msaSize int) {
+	rng := g.rngFor(idx)
 	seqLen = g.drawLen(rng)
 	for i := 0; i < seqLen; i++ {
 		rng.Intn(NumResidueTypes - 1)
@@ -87,37 +92,34 @@ func (g *Generator) geometry(rng *rand.Rand) (seqLen, msaSize int) {
 	return seqLen, drawMSASize(rng)
 }
 
-// Geometry returns the pre-crop geometry of the idx-th sample — SeqLen and
-// MSASize, the only fields batch-preparation cost depends on — without
-// folding the protein or allocating the sequence, coordinates or MSA. It is
-// guaranteed to equal Sample(idx).SeqLen / .MSASize: both replay the same
-// RNG draw prefix (see geometry). The step simulator and the Figure 4 curve
-// run on this path; Sample is for callers that train on the data.
-func (g *Generator) Geometry(idx int) (seqLen, msaSize int) {
-	return g.geometry(g.rngFor(idx))
-}
-
-// GeomSampler evaluates Geometry on one reused keyed RNG (package keyrand),
-// for hot loops: the cluster simulator asks for tens of thousands of
-// geometries per run. A keyed reseed is O(1) where a math/rand reseed
-// refills the whole 607-word register, so what an index costs is its draws:
-// the length draw, one draw per residue, the MSA-size draw. Not safe for
+// GeomSampler evaluates Geometry on one reused keyed source (package
+// keyrand), for hot loops: the cluster simulator asks for tens of thousands
+// of geometries per run. A keyed reseed is O(1) where a math/rand reseed
+// refills the whole 607-word register, and keyrand.SkipInt31n passes over
+// the discarded residue draws without computing them, so what an index
+// costs is the skip's filter, about one modular multiplication per register
+// word it reads, plus the length and MSA-size draws. Not safe for
 // concurrent use; give each goroutine its own.
 type GeomSampler struct {
 	g   *Generator
-	rng *rand.Rand
+	src rand.Source64
+	rng *rand.Rand // over src
 }
 
 // Sampler returns a reusable geometry sampler over g.
 func (g *Generator) Sampler() *GeomSampler {
-	return &GeomSampler{g: g, rng: rand.New(keyrand.New(0))}
+	src := keyrand.New(0)
+	return &GeomSampler{g: g, src: src, rng: rand.New(src)}
 }
 
 // Geometry equals Generator.Geometry bit for bit: the keyed source, reseeded
-// with the index's key, draws exactly what a fresh math/rand source would.
+// with the index's key, draws exactly what a fresh math/rand source would,
+// and the skip advances it exactly as the residue draws do.
 func (s *GeomSampler) Geometry(idx int) (seqLen, msaSize int) {
 	s.rng.Seed(s.g.seed*1_000_003 + int64(idx))
-	return s.g.geometry(s.rng)
+	seqLen = s.g.drawLen(s.rng)
+	keyrand.SkipInt31n(s.src, NumResidueTypes-1, seqLen)
+	return seqLen, drawMSASize(s.rng)
 }
 
 // Sample generates the idx-th sample of the dataset, deterministically.

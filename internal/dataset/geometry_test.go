@@ -62,13 +62,17 @@ func TestDurationAtMatchesDuration(t *testing.T) {
 // order and revisiting some, must agree with a fresh math/rand source per
 // call (Generator.Geometry) — a keyed reseed fully resets the stream, and
 // no register word survives from the previous index. The generator seeds
-// include a negative one and one whose keys wrap int64.
+// include a negative one and one whose keys wrap int64. Under seed 0 the
+// key is the index, and the last four indices are ones whose residue draws
+// Int31n rejects, so the skip meets real rejections.
 func TestGeomSamplerReseedExact(t *testing.T) {
 	order := []int{5, 0, 99, 5, 17, 0}
 	for i := 0; i < 200; i++ {
 		order = append(order, (i*7919)%1009)
 	}
-	for _, seed := range []int64{42, -9, math.MaxInt64/1_000_003 + 1} {
+	// Residues 146, 609 (past the register's length), 205 and 45.
+	order = append(order, 475513, 481820, 1043570, 2126476)
+	for _, seed := range []int64{0, 42, -9, math.MaxInt64/1_000_003 + 1} {
 		g := NewGenerator(seed)
 		gs := g.Sampler()
 		for _, idx := range order {
@@ -78,6 +82,23 @@ func TestGeomSamplerReseedExact(t *testing.T) {
 				t.Fatalf("seed %d idx %d: keyed RNG (%d,%d) != math/rand (%d,%d)", seed, idx, al, am, bl, bm)
 			}
 		}
+	}
+}
+
+// TestGeomSamplerAllocFree pins the samplers' hot path at zero allocations
+// per index: a geometry and its prep time draw on state the two samplers
+// own, the skip's pending records included.
+func TestGeomSamplerAllocFree(t *testing.T) {
+	gs := NewGenerator(3).Sampler()
+	pt := DefaultPrepTimeModel().Timer()
+	idx := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		idx++
+		seqLen, msaSize := gs.Geometry(idx)
+		pt.DurationAt(idx, seqLen, msaSize, 7)
+	})
+	if allocs != 0 {
+		t.Fatalf("GeomSampler.Geometry + PrepTimer.DurationAt: %v allocs per index, want 0", allocs)
 	}
 }
 
