@@ -76,7 +76,8 @@ func exactFor(t *testing.T, name string, s scenario.Scenario) cluster.Result {
 
 // fidelityScenarios is the containment corpus for this package's own tests:
 // representative healthy cells across profiles and ablations plus the
-// perturbation regimes. The full default-grid property test lives in package
+// perturbation regimes, each at DAP 2 and at DAP 1, where every rank
+// marches alone. The full default-grid property test lives in package
 // scalefold next to the sweep layer that consumes the bounds.
 func fidelityScenarios() map[string]scenario.Scenario {
 	out := map[string]scenario.Scenario{
@@ -103,6 +104,9 @@ func fidelityScenarios() map[string]scenario.Scenario {
 		cp := p
 		s.Perturb = &cp
 		out["perturb-"+name] = s
+		d1 := scaleFoldScenario("H100", 128, 1)
+		d1.Perturb = &cp
+		out["perturb-"+name+"-dap1"] = d1
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gpu"
 	"repro/internal/model"
+	"repro/internal/perturb"
 	"repro/internal/workload"
 )
 
@@ -226,5 +228,45 @@ func TestGCDisableHelps(t *testing.T) {
 	roff := mustSimulate(t, p, 16, 1, off)
 	if roff.Break.CPUExposed >= ron.Break.CPUExposed {
 		t.Fatal("disabling GC must reduce CPU exposure")
+	}
+}
+
+// TestSimulateMismatchedCensusPinned pins the Result JSON of the two
+// census/plan mismatches Simulate accepts, healthy and perturbed: an
+// unsharded census on a DAP-4 plan, and a DAP-2 census on a DAP-1 plan. In
+// neither does a rank wait for a peer inside the step: the first census has
+// no sync events, and the second plan has no DAP groups. Scenarios refuse
+// both pairings, so no other golden covers them.
+func TestSimulateMismatchedCensusPinned(t *testing.T) {
+	spec := perturb.Spec{SlowdownProb: 0.25, SlowdownFactor: 1.5, StallRate: 0.1, StallMean: 2, FailProb: 0.05, RestartCost: 60}
+	for _, tc := range []struct {
+		name      string
+		cen       workload.Options
+		dap       int
+		perturbed bool
+		want      string
+	}{
+		{"unsharded-on-dap4", workload.ScaleFold(1), 4, false,
+			`{"MeanStep":2158129123,"MedianStep":1445702973,"P99Step":4628258952,"Break":{"GPUCompute":1067504330,"SerialPart":12729700,"CPUExposed":109796340,"DataWait":53924868,"CommXfer":231857,"CommWait":914350440,"ClipExposed":0,"DataWaitMedian":0,"CommWaitMedian":242244975},"Plan":{"TotalRanks":16,"Degree":4,"DPWays":4},"GraphCapture":0,"Restarts":0,"StallShare":0,"Goodput":1}`},
+		{"unsharded-on-dap4-perturbed", workload.ScaleFold(1), 4, true,
+			`{"MeanStep":18820927084,"MedianStep":5725448876,"P99Step":63288456606,"Break":{"GPUCompute":1067504330,"SerialPart":12729700,"CPUExposed":109796340,"DataWait":53924868,"CommXfer":231857,"CommWait":1964304018,"ClipExposed":0,"DataWaitMedian":0,"CommWaitMedian":2989588115},"Plan":{"TotalRanks":16,"Degree":4,"DPWays":4},"GraphCapture":0,"Restarts":1,"StallShare":0.008287686543940551,"Goodput":0.18117439131643504}`},
+		{"dap2-on-dap1", workload.ScaleFold(2), 1, false,
+			`{"MeanStep":4700409471,"MedianStep":837801533,"P99Step":16300052781,"Break":{"GPUCompute":603319630,"SerialPart":11147614,"CPUExposed":137988336,"DataWait":243169033,"CommXfer":8443333,"CommWait":3704946991,"ClipExposed":0,"DataWaitMedian":0,"CommWaitMedian":86851559},"Plan":{"TotalRanks":16,"Degree":1,"DPWays":16},"GraphCapture":0,"Restarts":0,"StallShare":0,"Goodput":1}`},
+		{"dap2-on-dap1-perturbed", workload.ScaleFold(2), 1, true,
+			`{"MeanStep":21222047097,"MedianStep":16300052781,"P99Step":62534641804,"Break":{"GPUCompute":603319630,"SerialPart":11147614,"CPUExposed":137988336,"DataWait":243169033,"CommXfer":8443333,"CommWait":4725894689,"ClipExposed":0,"DataWaitMedian":0,"CommWaitMedian":3917849646},"Plan":{"TotalRanks":16,"Degree":1,"DPWays":16},"GraphCapture":0,"Restarts":1,"StallShare":0.007349995192539059,"Goodput":0.27825858856543634}`},
+	} {
+		o := defaultOptions(11)
+		o.Steps = 4
+		if tc.perturbed {
+			o.Perturb = spec
+		}
+		r := mustSimulate(t, workload.Census(model.FullConfig(), tc.cen), 16, tc.dap, o)
+		got, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s: Result drifted:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
 	}
 }
