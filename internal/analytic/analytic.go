@@ -125,20 +125,15 @@ func EstimateWith(s scenario.Scenario, memo *sweep.Cache[[][]time.Duration]) (cl
 
 	var jIntra, jCross, jStrag, jPeak, sigmaStep float64
 	if !o.PerfectBalance {
-		var sigmaChunk float64
-		if sk.March {
-			sigmaChunk = sk.ChunkCV * sec(sk.PerRankChunk)
-			// Within a group every sync barrier waits for the slowest of
-			// gsize ranks; across groups the final all-reduce waits for the
-			// slowest group-sum (sd ~ sigma*sqrt(intervals): the intervals'
-			// maxima are near-independent).
-			jIntra = float64(sk.Intervals) * sigmaChunk * maxGauss(sk.GroupSize)
-			jCross = sigmaChunk * math.Sqrt(float64(sk.Intervals)) * maxGauss(sk.Groups)
-		} else {
-			sigmaChunk = sk.ChunkCV * sec(sk.GPUCompute)
-			jCross = sigmaChunk * maxGauss(ranks)
-		}
+		// Within a group every sync barrier waits for the slowest of
+		// gsize ranks; across groups the final all-reduce waits for the
+		// slowest group-sum (sd ~ sigma*sqrt(intervals): the intervals'
+		// maxima are near-independent). A DAP-1 rank is a group of one
+		// marching a single interval: it waits at no sync barrier.
+		sigmaChunk := sk.ChunkCV * sec(sk.PerRankChunk)
 		sigmaStep = sigmaChunk * math.Sqrt(float64(sk.Intervals))
+		jIntra = float64(sk.Intervals) * sigmaChunk * maxGauss(sk.GroupSize)
+		jCross = sigmaStep * maxGauss(sk.Groups)
 		// Stragglers: rare exponential delays, stragglerProb per advance;
 		// the barrier sees roughly the largest of the k expected arrivals
 		// (E[max of k Exp(m)] = m*H_k ~ m*ln(1+k), smooth through k < 1).
@@ -277,7 +272,7 @@ func EstimateWith(s scenario.Scenario, memo *sweep.Cache[[][]time.Duration]) (cl
 	// Comm wait: the per-event barrier gaps plus the all-reduce straggler
 	// wait — same order statistics as the step extras, minus the part every
 	// rank shares.
-	commWaitPt := float64(sk.SyncEvents)*sk.ChunkCV*sec(sk.PerRankChunk)*maxGauss(sk.GroupSize) +
+	commWaitPt := float64(sk.GroupSyncs)*sk.ChunkCV*sec(sk.PerRankChunk)*maxGauss(sk.GroupSize) +
 		jCross + jStrag + jPeak + stallPt + slowPt + (waitBarrier - meanWait)
 	if o.PerfectBalance {
 		commWaitPt = 0

@@ -132,13 +132,13 @@ func TestLayerNormForwardNormalizes(t *testing.T) {
 	y := LayerNorm(x, tp.Param(gamma), tp.Param(beta), 1e-5)
 	for r := 0; r < 8; r++ {
 		row := tensor.Row(y.X, r)
-		var sum, sumSq float64
+		var sum, sum2 float64
 		for _, v := range row {
 			sum += float64(v)
-			sumSq += float64(v) * float64(v)
+			sum2 += float64(v) * float64(v)
 		}
 		mean := sum / 16
-		variance := sumSq/16 - mean*mean
+		variance := sum2/16 - mean*mean
 		if math.Abs(mean) > 1e-4 || math.Abs(variance-1) > 1e-2 {
 			t.Fatalf("row %d: mean=%v var=%v", r, mean, variance)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/kernels"
 	"repro/internal/tensor"
 )
 
@@ -11,72 +12,23 @@ import (
 // affine transform: y = gamma * (x - mean)/sqrt(var + eps) + beta.
 // gamma and beta are rank-1 Values of length C = x.Dim(last).
 //
-// The forward uses the same single-pass mean/variance computation the
-// paper's fused Triton LN kernel uses (§3.3.1): E[x] and E[x²] accumulated
-// together, not a two-pass mean-then-variance loop.
+// It runs the paper's fused Triton LN kernels (§3.3.1), forward and
+// backward, from package kernels: single-pass statistics, E[x] and E[x²]
+// accumulated together, and the backward's dx fused with its row
+// reductions. The backward runs all rows as one block, so its dgamma and
+// dbeta are this node's column sums, added to the tape's gradients.
 func LayerNorm(x, gamma, beta *Value, eps float32) *Value {
 	t := sameTape(x, gamma, beta)
 	c := x.X.Dim(x.X.Rank() - 1)
 	rows := x.X.Len() / c
-	y := tensor.New(x.X.Shape()...)
-	// xhat and inverse std are cached for the backward pass.
-	xhat := make([]float32, x.X.Len())
-	rstd := make([]float32, rows)
-	for r := 0; r < rows; r++ {
-		in := x.X.Data[r*c : (r+1)*c]
-		outRow := y.Data[r*c : (r+1)*c]
-		var sum, sumSq float64
-		for _, v := range in {
-			sum += float64(v)
-			sumSq += float64(v) * float64(v)
-		}
-		mean := sum / float64(c)
-		variance := sumSq/float64(c) - mean*mean
-		if variance < 0 {
-			variance = 0
-		}
-		rs := float32(1 / math.Sqrt(variance+float64(eps)))
-		rstd[r] = rs
-		for i, v := range in {
-			h := (v - float32(mean)) * rs
-			xhat[r*c+i] = h
-			outRow[i] = gamma.X.Data[i]*h + beta.X.Data[i]
-		}
-	}
-	out := t.newResult(y, x, gamma, beta)
+	var st kernels.Stats // launch accounting, which the tape does not report
+	y, cache := kernels.LayerNormFused(x.X.Data, gamma.X.Data, beta.X.Data, rows, c, eps, &st)
+	out := t.newResult(tensor.FromSlice(y, x.X.Shape()...), x, gamma, beta)
 	out.back = func() {
-		for r := 0; r < rows; r++ {
-			gRow := out.Grad.Data[r*c : (r+1)*c]
-			hRow := xhat[r*c : (r+1)*c]
-			if gamma.requires {
-				gg := gamma.ensureGrad()
-				for i := 0; i < c; i++ {
-					gg.Data[i] += gRow[i] * hRow[i]
-				}
-			}
-			if beta.requires {
-				bg := beta.ensureGrad()
-				for i := 0; i < c; i++ {
-					bg.Data[i] += gRow[i]
-				}
-			}
-			if x.requires {
-				// dxhat = g * gamma; dx = rstd*(dxhat - mean(dxhat) - xhat*mean(dxhat*xhat))
-				var m1, m2 float64
-				for i := 0; i < c; i++ {
-					d := float64(gRow[i] * gamma.X.Data[i])
-					m1 += d
-					m2 += d * float64(hRow[i])
-				}
-				m1 /= float64(c)
-				m2 /= float64(c)
-				xg := x.ensureGrad().Data[r*c : (r+1)*c]
-				for i := 0; i < c; i++ {
-					d := float64(gRow[i] * gamma.X.Data[i])
-					xg[i] += rstd[r] * float32(d-m1-float64(hRow[i])*m2)
-				}
-			}
-		}
+		dx, dgamma, dbeta := kernels.LayerNormFusedBackward(out.Grad.Data, gamma.X.Data, cache, rows, &st)
+		x.accum(tensor.FromSlice(dx, x.X.Shape()...))
+		gamma.accum(tensor.FromSlice(dgamma, gamma.X.Shape()...))
+		beta.accum(tensor.FromSlice(dbeta, beta.X.Shape()...))
 	}
 	return out
 }

@@ -186,7 +186,9 @@ type groupStep struct {
 // geometry and the gradient all-reduce with its clip overlap. It is a pure
 // function of NewSkeleton's arguments. Simulate runs its random phases on
 // it, and analytic.Estimate reads the same value, so the estimator's
-// deterministic components are the simulator's, not a copy of them.
+// deterministic components are the simulator's, not a copy of them. The
+// march has one shape for every plan: DAP groups crossing sync events, where
+// a DAP-1 rank is a group of one that crosses none.
 type Skeleton struct {
 	Opts Options // normalized: unset tunables hold their defaults
 	Plan dap.Plan
@@ -197,20 +199,20 @@ type Skeleton struct {
 	// capture cost.
 	GPUCompute, SerialPart, CPUExposedStep, GraphCapture time.Duration
 
-	// SyncEvents DAP collectives cut each step into Intervals compute
-	// chunks. A chunk's execution jitter has relative spread ChunkCV, it
-	// hits a straggler delay with probability StragglerProb, and
-	// PeaksPerStep background-CPU peaks land per step.
-	SyncEvents, Intervals                int
+	// The census's DAP collectives cut each step's kernels into Intervals
+	// compute chunks, one more than its sync events. A chunk's execution
+	// jitter has relative spread ChunkCV, it hits a straggler delay with
+	// probability StragglerProb, and PeaksPerStep background-CPU peaks land
+	// per step.
+	Intervals                            int
 	ChunkCV, StragglerProb, PeaksPerStep float64
 
-	// March reports that each step marches through the sync events in
-	// Groups DAP groups of GroupSize ranks, a chunk taking PerRankChunk of
-	// GPU time and the events SyncXfer; otherwise every rank is a group of
-	// one advancing in a single chunk.
-	March                  bool
-	Groups, GroupSize      int
-	PerRankChunk, SyncXfer time.Duration
+	// Each step, Groups DAP groups of GroupSize ranks march through
+	// GroupSyncs sync events: the census's when the plan has DAP groups,
+	// none when each rank is a group of one. A rank's GPU time is
+	// GroupSyncs+1 chunks of PerRankChunk, and the events cost SyncXfer.
+	Groups, GroupSize, GroupSyncs int
+	PerRankChunk, SyncXfer        time.Duration
 	// AllReduce is the data-parallel gradient all-reduce; Visible adds the
 	// gradient clip it does not hide, ClipExposed.
 	AllReduce, Visible, ClipExposed time.Duration
@@ -246,43 +248,38 @@ func NewSkeleton(prog *workload.Program, ranks, dapDegree int, o Options) (Skele
 		if o.ZeroSerial && g.Serial {
 			continue
 		}
-		perCall := o.Arch.KernelDuration(g.PerCallFlops(), g.PerCallBytes(), o.FlatEfficiency)
-		d := time.Duration(g.Calls) * perCall
+		d, exposed := g.Cost(o.Arch, o.FlatEfficiency)
 		s.GPUCompute += d
 		if g.Serial {
 			s.SerialPart += d
 		}
 		launches += g.Calls
 		if exposeCPU {
-			if gap := o.Arch.LaunchOverhead - perCall; gap > 0 {
-				cpuExposedBase += time.Duration(g.Calls) * gap
-			}
+			cpuExposedBase += exposed
 		}
 	}
 
 	// Collective schedule.
+	var syncEvents int
 	var xferPerStep time.Duration
 	for _, sp := range prog.Syncs {
-		s.SyncEvents += sp.Count
+		syncEvents += sp.Count
 		bytes := sp.Bytes
 		if o.ZeroCommVolume {
 			bytes = 0
 		}
 		xferPerStep += time.Duration(sp.Count) * o.Topo.Cost(sp.Op, plan.Degree, bytes)
 	}
-	s.Intervals = s.SyncEvents + 1
+	s.Intervals = syncEvents + 1
 
 	// Per-rank CPU exposure is identical for every rank and every step —
 	// it is a scalar, not a per-step buffer.
 	if o.CUDAGraph {
-		// All recycling scenarios (1..4 recycles) are captured once during
-		// warmup; steady-state steps replay from the cache. Replay is the
-		// only launch cost left, but Python GC still stalls the host
-		// between replays until disabled.
-		graphs := gpu.NewGraphCache()
-		for key := 0; key < 4; key++ {
-			s.GraphCapture += graphs.Launch(o.Arch, key, launches)
-		}
+		// One capture per recycling count, 1-4 (§3.2), during warmup: an
+		// eager pass of launch work plus a replay. Steady-state steps replay
+		// the captured graph. Replay is the only launch cost left, but
+		// Python GC still stalls the host between replays until disabled.
+		s.GraphCapture = 4 * (o.Arch.GraphReplayOverhead + time.Duration(launches)*o.Arch.LaunchOverhead)
 		s.CPUExposedStep = o.Arch.GraphReplayOverhead + gcCost(o.CPU, launches)
 	} else if !o.ZeroLaunchOverhead {
 		s.CPUExposedStep = cpuExposedBase + gcCost(o.CPU, launches)
@@ -315,22 +312,21 @@ func NewSkeleton(prog *workload.Program, ranks, dapDegree int, o Options) (Skele
 	}
 	s.ChunkCV = perKernelCV / math.Sqrt(kernelsPerChunk)
 
-	// March geometry. Per-kernel sync marching applies when the DAP degree
-	// shards kernels (Degree > 1 with sync events); otherwise each rank is
-	// its own group of one advancing in a single chunk.
-	s.March = plan.Degree > 1 && s.SyncEvents > 0
-	s.Groups, s.GroupSize = ranks, 1
-	if s.March {
-		s.Groups, s.GroupSize = plan.DPWays, plan.Degree
+	// March geometry: the plan's DAP groups cross the census's sync events.
+	// Without DAP groups every rank is a group of one, which has no peer to
+	// wait for and marches its step as a single chunk.
+	s.Groups, s.GroupSize = plan.DPWays, plan.Degree
+	if plan.Degree > 1 && syncEvents > 0 {
+		s.GroupSyncs = syncEvents
 		// Cost of one sync event (mean over kinds) plus the NCCL kernel
 		// launch latency, which CUDA graphs absorb into the graph.
-		s.evCost = xferPerStep / time.Duration(s.SyncEvents)
+		s.evCost = xferPerStep / time.Duration(syncEvents)
 		if !o.CUDAGraph {
 			s.evCost += 2 * o.Arch.LaunchOverhead
 		}
-		s.SyncXfer = time.Duration(s.SyncEvents) * s.evCost
+		s.SyncXfer = time.Duration(syncEvents) * s.evCost
 	}
-	s.PerRankChunk = s.GPUCompute / time.Duration(s.Intervals)
+	s.PerRankChunk = s.GPUCompute / time.Duration(s.GroupSyncs+1)
 
 	// Data-parallel gradient all-reduce; bucketed gradient clipping hides
 	// under it.
@@ -477,7 +473,7 @@ func (s *Skeleton) march(waits []time.Duration) []groupStep {
 	}
 
 	steps, gsize := o.Steps, s.GroupSize
-	cpuChunk := s.CPUExposedStep / time.Duration(s.Intervals)
+	cpuChunk := s.CPUExposedStep / time.Duration(s.GroupSyncs+1)
 	stats := make([]groupStep, s.Groups*steps)
 	runSharded(o.SimWorkers, s.Groups, func(glo, ghi int) {
 		// Reusable per-worker scratch — the group's jitter RNGs, the
@@ -502,7 +498,7 @@ func (s *Skeleton) march(waits []time.Duration) []groupStep {
 			for i, rr := range rngs {
 				rr.Seed(o.Seed*31 + int64(base+i))
 			}
-			if perturbed && s.March {
+			if perturbed {
 				for i := range gpuChunks {
 					f := perturbs[base+i].Factor()
 					gpuChunks[i] = scaleDur(s.PerRankChunk, f)
@@ -511,29 +507,6 @@ func (s *Skeleton) march(waits []time.Duration) []groupStep {
 			}
 			for step := 0; step < steps; step++ {
 				st := &stats[g*steps+step]
-				if !s.March {
-					// Single chunk: data wait, one advance, done.
-					w := waits[g*steps+step]
-					if o.PerfectBalance {
-						w = 0
-					}
-					gpuC, cpuC := s.GPUCompute, s.CPUExposedStep
-					if perturbed {
-						ps := perturbs[g] // gsize == 1: group g IS rank g
-						stall, failed := ps.Step()
-						w += stall
-						st.stall = stall
-						if failed {
-							st.fails = 1
-						}
-						if f := ps.Factor(); f != 1 {
-							gpuC, cpuC = scaleDur(gpuC, f), scaleDur(cpuC, f)
-						}
-					}
-					v := w + s.advance(rngs[0], gpuC, cpuC)
-					st.max, st.sum = v, v
-					continue
-				}
 				// Per-rank start offset: data pipeline wait, plus any
 				// injected transient stall. Fatal failures are only
 				// recorded here — the whole job restarts, so their cost is
@@ -556,7 +529,7 @@ func (s *Skeleton) march(waits []time.Duration) []groupStep {
 				// March through sync intervals: advance each rank by its
 				// chunk, then sync within the group.
 				var comm time.Duration
-				for ev := 0; ev < s.SyncEvents; ev++ {
+				for ev := 0; ev < s.GroupSyncs; ev++ {
 					var mx time.Duration
 					for i := range now {
 						now[i] += s.advance(rngs[i], gpuChunks[i], cpuChunks[i])
@@ -569,7 +542,8 @@ func (s *Skeleton) march(waits []time.Duration) []groupStep {
 						now[i] = mx + s.evCost
 					}
 				}
-				// Remaining compute after the last sync.
+				// Remaining compute after the last sync: the whole step of
+				// a group of one.
 				var gmx, gsum time.Duration
 				for i := range now {
 					now[i] += s.advance(rngs[i], gpuChunks[i], cpuChunks[i])

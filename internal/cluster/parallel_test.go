@@ -11,8 +11,9 @@ import (
 
 // TestSimulateParallelDeterminism pins the SimWorkers contract: the worker
 // count is an execution detail, so Simulate must return bit-identical
-// Results for every value — on the per-kernel sync march (DAP > 1), on the
-// degree-1 single-chunk path, and with the ablation that skips the RNG.
+// Results for every value — on the per-kernel sync march (DAP > 1), at
+// degree 1, where each rank is a group of one marching its step as a single
+// chunk, and with the ablation that skips the RNG.
 // Small rank counts keep it inside the -race -short CI job, which is where
 // the sharded march's goroutines get their data-race audit.
 func TestSimulateParallelDeterminism(t *testing.T) {
@@ -52,9 +53,10 @@ func TestSimulateParallelDeterminism(t *testing.T) {
 // TestSimulatePerturbedDeterminism extends the SimWorkers contract to the
 // perturbation layer: every perturbation kind draws from private per-rank
 // RNG streams, so Results must stay bit-identical at every worker width —
-// on the sync march, on the degree-1 single-chunk path, and under CUDA
-// graphs. Small rank counts keep the matrix inside the -race -short CI
-// job, which audits the sharded draws for data races.
+// on the sync march, at degree 1, where each rank marches its step as a
+// single chunk, and under CUDA graphs. Small rank counts keep the matrix
+// inside the -race -short CI job, which audits the sharded draws for data
+// races.
 func TestSimulatePerturbedDeterminism(t *testing.T) {
 	kinds := []struct {
 		name string

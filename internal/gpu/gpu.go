@@ -2,7 +2,8 @@
 // kernel cost model with size-dependent efficiency (small DAP-split kernels
 // cannot saturate the memory system — the paper's "poor kernel scalability"),
 // a CPU launch model with background-peak and garbage-collection noise, and
-// CUDA Graph capture with the recycling-keyed graph cache of §3.2.
+// the launch and replay costs the simulator prices CUDA Graphs with (§3.2:
+// one capture per recycling count, one replay per step).
 package gpu
 
 import (

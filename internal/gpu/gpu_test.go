@@ -42,31 +42,3 @@ func TestH100FasterThanA100(t *testing.T) {
 		t.Fatal("H100 must be faster than A100 on the same kernel")
 	}
 }
-
-func TestGraphCacheCapturesOncePerKey(t *testing.T) {
-	g := NewGraphCache()
-	a := H100()
-	first := g.Launch(a, 1, 50000)
-	second := g.Launch(a, 1, 50000)
-	if first <= second {
-		t.Fatal("first launch must pay the capture cost")
-	}
-	if second != a.GraphReplayOverhead {
-		t.Fatalf("replay cost %v, want %v", second, a.GraphReplayOverhead)
-	}
-	// A new recycling scenario re-captures.
-	other := g.Launch(a, 2, 50000)
-	if other != first {
-		t.Fatalf("new key must capture again: %v, want %v", other, first)
-	}
-}
-
-func TestGraphCacheDefaultCaptureCost(t *testing.T) {
-	g := NewGraphCache()
-	a := H100()
-	first := g.Launch(a, 0, 10000)
-	want := 10000*a.LaunchOverhead + a.GraphReplayOverhead
-	if first != want {
-		t.Fatalf("default capture %v, want %v", first, want)
-	}
-}

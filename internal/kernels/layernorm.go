@@ -101,13 +101,13 @@ func LayerNormFused(x, gamma, beta []float32, rows, c int, eps float32, st *Stat
 	cache := &LNCache{XHat: make([]float32, n), RStd: make([]float32, rows), Rows: rows, C: c}
 	for r := 0; r < rows; r++ {
 		row := x[r*c : (r+1)*c]
-		var sum, sumSq float64
+		var sum, sum2 float64
 		for _, v := range row {
 			sum += float64(v)
-			sumSq += float64(v) * float64(v)
+			sum2 += float64(v) * float64(v)
 		}
 		m := sum / float64(c)
-		variance := sumSq/float64(c) - m*m
+		variance := sum2/float64(c) - m*m
 		if variance < 0 {
 			variance = 0
 		}

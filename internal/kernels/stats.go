@@ -16,7 +16,8 @@
 // Both forms compute identical results (tests assert numeric equivalence) so
 // the difference visible in `go test -bench` — fewer ns/op, fewer B/op,
 // fewer recorded launches — is exactly the effect the paper attributes to
-// kernel fusion.
+// kernel fusion. The miniature trainer runs the fused LayerNorm, forward and
+// backward: package autograd's LayerNorm node calls it.
 package kernels
 
 // Stats accounts for kernel launches and memory traffic the way the paper's

@@ -1,17 +1,19 @@
-// Package pipeline implements the data pipelines compared in Figure 5:
+// Package pipeline implements the data pipelines compared in Figure 5. One
+// worker pool serves both: worker goroutines deposit finished batches into
+// a priority queue keyed by batch index, and the two loaders differ only in
+// what Next may take from it.
 //
-//   - BlockingLoader reproduces the default PyTorch DataLoader contract:
+//   - NewBlocking reproduces the default PyTorch DataLoader contract:
 //     batches are delivered strictly in sampler order, so one slow batch
 //     stalls the trainer even when later batches are already prepared.
-//   - NonBlockingLoader is the paper's design (§3.2): worker goroutines
-//     deposit finished batches into a priority queue keyed by batch index,
-//     and Next yields whichever prepared batch has the lowest index *right
-//     now* — a slow batch is simply overtaken and delivered later.
+//   - NewNonBlocking is the paper's design (§3.2): Next yields whichever
+//     prepared batch has the lowest index *right now* — a slow batch is
+//     simply overtaken and delivered later.
 //
-// Both loaders are real concurrent code (goroutines, channels, a heap) and
-// are exercised by unit tests and the examples/pipeline demo. The cluster
-// simulator uses the analytic twin in analytic.go, which replays the same
-// semantics on virtual time so thousand-rank simulations don't need
+// The loaders are real concurrent code (goroutines, a condition variable, a
+// heap) and are exercised by unit tests and the examples/pipeline demo. The
+// cluster simulator uses the analytic twin in analytic.go, which replays the
+// same semantics on virtual time so thousand-rank simulations don't need
 // wall-clock sleeps.
 package pipeline
 
@@ -24,7 +26,7 @@ import (
 
 // Batch is a prepared training batch. Payload is opaque to the pipeline.
 type Batch struct {
-	Index    int           // position in the sampler order
+	Index    int           // position in the sampler order, set by the loader
 	PrepTime time.Duration // how long preparation took
 	Payload  interface{}
 }
@@ -48,48 +50,56 @@ type Loader interface {
 	Stop()
 }
 
-// ---------- Blocking (PyTorch-default) loader ----------
-
-// BlockingLoader delivers batches in strict sampler order. Workers prefetch
-// `prefetch` batches ahead, but delivery of batch i+1 cannot happen before
-// batch i is consumed — the Figure 5(i) behaviour.
-type BlockingLoader struct {
+// loader is the worker pool behind both constructors. Workers prepare
+// batches in sampler order and push each onto a min-heap on batch index,
+// running at most 2×workers batches ahead of delivery: DataLoader's default
+// prefetch_factor of 2 per worker. inOrder selects the blocking delivery
+// rule, under which Next pops the heap's head only when it is the next
+// batch in sampler order.
+type loader struct {
 	src     Source
 	workers int
+	inOrder bool
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	ready   map[int]Batch
-	nextIdx int
-	issued  int
-	stop    context.CancelFunc
-	done    bool
-	wg      sync.WaitGroup
+	mu        sync.Mutex
+	cond      *sync.Cond
+	pq        batchHeap
+	issued    int
+	delivered int
+	stop      context.CancelFunc
+	done      bool
+	wg        sync.WaitGroup
 }
 
-// NewBlocking starts a blocking loader with the given worker count.
-func NewBlocking(src Source, workers int) *BlockingLoader {
+// NewBlocking starts a loader that delivers batches in strict sampler order:
+// workers prefetch ahead, but batch i+1 is not delivered before batch i —
+// the Figure 5(i) behaviour.
+func NewBlocking(src Source, workers int) Loader { return start(src, workers, true) }
+
+// NewNonBlocking starts a loader that delivers whichever prepared batch has
+// the lowest index when Next is called — the priority queue keyed by batch
+// index of §3.2. A slow batch never blocks delivery of a ready one.
+func NewNonBlocking(src Source, workers int) Loader { return start(src, workers, false) }
+
+func start(src Source, workers int, inOrder bool) *loader {
 	if workers < 1 {
 		workers = 1
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	l := &BlockingLoader{src: src, workers: workers, ready: map[int]Batch{}, stop: cancel}
+	l := &loader{src: src, workers: workers, inOrder: inOrder, stop: cancel}
 	l.cond = sync.NewCond(&l.mu)
+	l.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		l.wg.Add(1)
 		go l.worker(ctx)
 	}
 	return l
 }
 
-func (l *BlockingLoader) worker(ctx context.Context) {
+func (l *loader) worker(ctx context.Context) {
 	defer l.wg.Done()
 	for {
 		l.mu.Lock()
-		// In-order prefetch window: a worker may run at most `workers`
-		// batches ahead of the consumer, exactly like DataLoader's
-		// prefetch_factor bound.
-		for !l.done && (l.issued >= l.src.Len() || l.issued >= l.nextIdx+2*l.workers) {
+		for !l.done && (l.issued >= l.src.Len() || l.issued-l.delivered >= 2*l.workers) {
 			l.cond.Wait()
 		}
 		if l.done || l.issued >= l.src.Len() {
@@ -103,110 +113,7 @@ func (l *BlockingLoader) worker(ctx context.Context) {
 		b, err := l.src.Prepare(ctx, idx)
 		l.mu.Lock()
 		if err == nil {
-			l.ready[idx] = b
-		} else {
-			l.done = true
-		}
-		l.cond.Broadcast()
-		l.mu.Unlock()
-	}
-}
-
-// Next returns the batch with index exactly nextIdx, waiting for it even if
-// later batches are already prepared (the blocking semantics under test).
-func (l *BlockingLoader) Next(ctx context.Context) (Batch, bool) {
-	stopOnCancel := context.AfterFunc(ctx, func() {
-		l.mu.Lock()
-		l.done = true
-		l.cond.Broadcast()
-		l.mu.Unlock()
-	})
-	defer stopOnCancel()
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.nextIdx >= l.src.Len() {
-		return Batch{}, false
-	}
-	for {
-		if b, ok := l.ready[l.nextIdx]; ok {
-			delete(l.ready, l.nextIdx)
-			l.nextIdx++
-			l.cond.Broadcast()
-			return b, true
-		}
-		if l.done {
-			return Batch{}, false
-		}
-		l.cond.Wait()
-	}
-}
-
-// Stop cancels the loader.
-func (l *BlockingLoader) Stop() {
-	l.mu.Lock()
-	l.done = true
-	l.cond.Broadcast()
-	l.mu.Unlock()
-	l.stop()
-	l.wg.Wait()
-}
-
-// ---------- Non-blocking (ScaleFold) loader ----------
-
-// NonBlockingLoader yields whichever prepared batch has the lowest index at
-// the moment Next is called — the priority queue keyed by batch index of
-// §3.2. A slow batch never blocks delivery of a ready one.
-type NonBlockingLoader struct {
-	src     Source
-	workers int
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	pq       batchHeap
-	issued   int
-	inflight int
-	yielded  int
-	stop     context.CancelFunc
-	done     bool
-	wg       sync.WaitGroup
-}
-
-// NewNonBlocking starts a non-blocking loader.
-func NewNonBlocking(src Source, workers int) *NonBlockingLoader {
-	if workers < 1 {
-		workers = 1
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	l := &NonBlockingLoader{src: src, workers: workers, stop: cancel}
-	l.cond = sync.NewCond(&l.mu)
-	for w := 0; w < workers; w++ {
-		l.wg.Add(1)
-		go l.worker(ctx)
-	}
-	return l
-}
-
-func (l *NonBlockingLoader) worker(ctx context.Context) {
-	defer l.wg.Done()
-	for {
-		l.mu.Lock()
-		for !l.done && (l.issued >= l.src.Len() || len(l.pq)+l.inflight >= 2*l.workers) {
-			l.cond.Wait()
-		}
-		if l.done || l.issued >= l.src.Len() {
-			l.mu.Unlock()
-			return
-		}
-		idx := l.issued
-		l.issued++
-		l.inflight++
-		l.mu.Unlock()
-
-		b, err := l.src.Prepare(ctx, idx)
-		l.mu.Lock()
-		l.inflight--
-		if err == nil {
+			b.Index = idx
 			heap.Push(&l.pq, b)
 		} else {
 			l.done = true
@@ -216,9 +123,10 @@ func (l *NonBlockingLoader) worker(ctx context.Context) {
 	}
 }
 
-// Next pops the lowest-index *ready* batch, blocking only when nothing at
-// all is prepared.
-func (l *NonBlockingLoader) Next(ctx context.Context) (Batch, bool) {
+// Next pops the lowest-index prepared batch, blocking until there is one
+// the delivery rule allows. After a Prepare error or a cancellation it
+// still delivers what is allowed, then returns false.
+func (l *loader) Next(ctx context.Context) (Batch, bool) {
 	stopOnCancel := context.AfterFunc(ctx, func() {
 		l.mu.Lock()
 		l.done = true
@@ -229,25 +137,23 @@ func (l *NonBlockingLoader) Next(ctx context.Context) (Batch, bool) {
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for {
-		if l.yielded >= l.src.Len() {
-			return Batch{}, false
-		}
-		if len(l.pq) > 0 {
+	for l.delivered < l.src.Len() {
+		if len(l.pq) > 0 && (!l.inOrder || l.pq[0].Index == l.delivered) {
 			b := heap.Pop(&l.pq).(Batch)
-			l.yielded++
+			l.delivered++
 			l.cond.Broadcast()
 			return b, true
 		}
 		if l.done {
-			return Batch{}, false
+			break
 		}
 		l.cond.Wait()
 	}
+	return Batch{}, false
 }
 
-// Stop cancels the loader.
-func (l *NonBlockingLoader) Stop() {
+// Stop cancels the workers and waits for them to exit.
+func (l *loader) Stop() {
 	l.mu.Lock()
 	l.done = true
 	l.cond.Broadcast()

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -119,6 +121,67 @@ func TestLoaderNextAfterExhaustionReturnsFalse(t *testing.T) {
 		}
 		cancel()
 		l.Stop()
+	}
+}
+
+// failingSource is a fakeSource whose Prepare of index fail returns an
+// error after failAfter.
+type failingSource struct {
+	fakeSource
+	fail      int
+	failAfter time.Duration
+}
+
+func (f *failingSource) Prepare(ctx context.Context, i int) (Batch, error) {
+	if i == f.fail {
+		time.Sleep(f.failAfter)
+		return Batch{}, errors.New("prepare failed")
+	}
+	return f.fakeSource.Prepare(ctx, i)
+}
+
+// TestLoaderPrepareError: when Prepare fails at one index, Next still
+// delivers what its rule allows — the blocking loader the batches before the
+// failure, the non-blocking one every other prepared batch — then returns
+// false, and Stop cancels the 10 s batch still in flight.
+func TestLoaderPrepareError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(Source, int) Loader
+		want []int
+	}{
+		{"blocking", NewBlocking, []int{0, 1, 2}},
+		{"non-blocking", NewNonBlocking, []int{0, 1, 2, 4, 5, 7}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := &failingSource{
+				fakeSource: fakeSource{prep: []time.Duration{0, 0, 0, 0, 0, 0, 10 * time.Second, 0}, scale: 1},
+				fail:       3,
+				failAfter:  100 * time.Millisecond,
+			}
+			l := tc.mk(src, 3)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			var got []int
+			for {
+				b, ok := l.Next(ctx)
+				if !ok {
+					break
+				}
+				got = append(got, b.Index)
+			}
+			if ctx.Err() != nil {
+				t.Fatalf("Next ended on the context deadline, not the failure (delivered %v)", got)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("delivered %v, want %v", got, tc.want)
+			}
+			start := time.Now()
+			l.Stop()
+			if d := time.Since(start); d > time.Second {
+				t.Fatalf("Stop took %v", d)
+			}
+		})
 	}
 }
 

@@ -288,9 +288,9 @@ func figure3Bars(dapN int, res cluster.Result) []Barrier {
 		if g.Serial {
 			continue
 		}
-		g1 := prog1.Groups[i]
-		actual := time.Duration(g.Calls) * arch.KernelDuration(g.PerCallFlops(), g.PerCallBytes(), false)
-		ideal := time.Duration(g1.Calls) * arch.KernelDuration(g1.PerCallFlops(), g1.PerCallBytes(), false) / time.Duration(dapN)
+		actual, _ := g.Cost(arch, false)
+		ideal, _ := prog1.Groups[i].Cost(arch, false)
+		ideal /= time.Duration(dapN)
 		if actual > ideal {
 			kernelGap += actual - ideal
 		}
@@ -375,24 +375,16 @@ func Table1() []Table1Row {
 	prog := workload.Full(workload.Baseline())
 	arch := gpu.A100()
 	tot := prog.Totals()
-	var times [3]time.Duration
-	for i, cat := range []workload.Category{workload.CatMath, workload.CatMem, workload.CatMemOp} {
-		for _, g := range prog.Groups {
-			if g.Cat == cat {
-				times[i] += time.Duration(g.Calls) * arch.KernelDuration(g.PerCallFlops(), g.PerCallBytes(), false)
-			}
-		}
-	}
 	// CPU overhead: exposed launch gaps plus the host-side work the
 	// profiler attributes to every launch (driver call, Python dispatch),
 	// which Table 1 counts as CPU time even when the GPU stays busy.
 	const hostPerLaunch = 2 * time.Microsecond
 	cpu := time.Duration(prog.TotalCalls()) * hostPerLaunch
+	var times [3]time.Duration // indexed by Category: math, memory, memory-operation
 	for _, g := range prog.Groups {
-		per := arch.KernelDuration(g.PerCallFlops(), g.PerCallBytes(), false)
-		if gap := arch.LaunchOverhead - per; gap > 0 {
-			cpu += time.Duration(g.Calls) * gap
-		}
+		kernel, exposed := g.Cost(arch, false)
+		times[g.Cat] += kernel
+		cpu += exposed
 	}
 	total := cpu + times[0] + times[1] + times[2]
 	rows := []Table1Row{

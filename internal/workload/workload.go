@@ -9,7 +9,10 @@
 package workload
 
 import (
+	"time"
+
 	"repro/internal/comm"
+	"repro/internal/gpu"
 )
 
 // Category classifies a kernel the way Table 1 does.
@@ -59,6 +62,18 @@ func (g Group) PerCallBytes() float64 {
 		return 0
 	}
 	return g.Bytes / float64(g.Calls)
+}
+
+// Cost prices the group on a by the roofline: kernel is the GPU time of
+// all its calls, and exposedLaunch the launch overhead they leave exposed,
+// since a call shorter than its launch leaves the GPU idle for the gap.
+// flatEff disables the size-derated efficiency (gpu.Arch.KernelDuration).
+func (g Group) Cost(a gpu.Arch, flatEff bool) (kernel, exposedLaunch time.Duration) {
+	perCall := a.KernelDuration(g.PerCallFlops(), g.PerCallBytes(), flatEff)
+	if gap := a.LaunchOverhead - perCall; gap > 0 {
+		exposedLaunch = time.Duration(g.Calls) * gap
+	}
+	return time.Duration(g.Calls) * perCall, exposedLaunch
 }
 
 // SyncPoint is a DAP collective inserted between compute segments.
