@@ -237,26 +237,17 @@ func NewSkeleton(prog *workload.Program, ranks, dapDegree int, o Options) (Skele
 	o = o.normalized()
 	s := Skeleton{Opts: o, Plan: plan}
 
-	// Per-step invariants (identical across ranks), one pass over the
-	// census: roofline kernel time, serial share, launch count, and the
-	// exposed-CPU baseline (launches whose issue cost exceeds the kernel's
-	// own duration leave the GPU idle; approximated per group).
-	exposeCPU := !o.CUDAGraph && !o.ZeroLaunchOverhead
+	// Per-step invariants (identical across ranks), the census's price:
+	// roofline kernel time, serial share, launch count, and the exposed-CPU
+	// baseline (launches whose issue cost exceeds the kernel's own duration
+	// leave the GPU idle; approximated per group), which graphs and the
+	// zero-launch ablation take away.
+	price := prog.Price(o.Arch, o.FlatEfficiency, o.ZeroSerial)
+	s.GPUCompute, s.SerialPart = price.Kernel, price.Serial
+	launches := price.Launches
 	var cpuExposedBase time.Duration
-	var launches int
-	for _, g := range prog.Groups {
-		if o.ZeroSerial && g.Serial {
-			continue
-		}
-		d, exposed := g.Cost(o.Arch, o.FlatEfficiency)
-		s.GPUCompute += d
-		if g.Serial {
-			s.SerialPart += d
-		}
-		launches += g.Calls
-		if exposeCPU {
-			cpuExposedBase += exposed
-		}
+	if !o.CUDAGraph && !o.ZeroLaunchOverhead {
+		cpuExposedBase = price.ExposedLaunch
 	}
 
 	// Collective schedule.

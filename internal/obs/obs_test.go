@@ -144,10 +144,9 @@ func TestRegistryConcurrent(t *testing.T) {
 func TestTracerSpansAndLanes(t *testing.T) {
 	tr := NewTracer()
 	t0 := time.Now()
-	tr.Span("w-1", "cell-a", "cell", t0, t0.Add(5*time.Millisecond),
-		map[string]string{"owner": "w-1", "source": "simulated"})
-	tr.Span("w-2", "cell-b", "cell", t0, t0.Add(3*time.Millisecond), nil)
-	tr.Span("w-1", "cell-c", "cell", t0.Add(5*time.Millisecond), t0.Add(6*time.Millisecond), nil)
+	tr.Span("w-1", "cell-a", "cell", "simulated", "k-a", t0, t0.Add(5*time.Millisecond))
+	tr.Span("w-2", "cell-b", "cell", "analytic", "k-b", t0, t0.Add(3*time.Millisecond))
+	tr.Span("w-1", "cell-c", "cell", "store-hit", "k-c", t0.Add(5*time.Millisecond), t0.Add(6*time.Millisecond))
 
 	events := tr.Events()
 	var meta, spans []TraceEvent
@@ -171,8 +170,8 @@ func TestTracerSpansAndLanes(t *testing.T) {
 	if spans[0].TID == spans[1].TID {
 		t.Fatal("distinct lanes must map to distinct tids")
 	}
-	if spans[0].Args["source"] != "simulated" {
-		t.Fatalf("args lost: %+v", spans[0].Args)
+	if a := spans[0].Args; a["owner"] != "w-1" || a["source"] != "simulated" || a["key"] != "k-a" {
+		t.Fatalf("args lost: %+v", a)
 	}
 	// The wire format round-trips.
 	var buf bytes.Buffer
@@ -191,7 +190,7 @@ func TestTracerSpansAndLanes(t *testing.T) {
 func TestTracerClamping(t *testing.T) {
 	tr := NewTracer()
 	past := time.Now().Add(-time.Hour)
-	tr.Span("lane", "early", "cell", past, past.Add(time.Minute), nil)
+	tr.Span("lane", "early", "cell", "analytic", "k", past, past.Add(time.Minute))
 	for _, e := range tr.Events() {
 		if e.Ph == "X" && e.TS < 0 {
 			t.Fatalf("span before trace origin must clamp to 0, got ts=%g", e.TS)
@@ -221,12 +220,75 @@ func TestObsNilFastPathAllocFree(t *testing.T) {
 		g.Add(-1)
 		h.Observe(0.5)
 		h.ObserveSince(t0)
-		tr.Span("lane", "name", "cat", t0, t0, nil)
+		tr.Span("lane", "name", "cat", "source", "key", t0, t0)
 		_ = r.Counter("x", "")
 		_ = r.Gauge("x", "")
 		_ = r.Histogram("x", "", nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-receiver obs calls allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestTracerTraceBytes pins the trace JSON of typed spans to what the
+// tracer wrote when each span stored a TraceEvent with an args map: the
+// hand-built events below are exactly those, a lane's thread_name metadata
+// event just before its first span. The spans take the three cell shapes
+// (a local lane, the memo lane, a remote worker), and include one starting
+// before the tracer's origin and one ending before it starts.
+func TestTracerTraceBytes(t *testing.T) {
+	tr := NewTracer()
+	t0 := tr.t0
+	at := func(ns int64) time.Time { return t0.Add(time.Duration(ns)) }
+	us := func(ns int64) float64 { return float64(time.Duration(ns)) / float64(time.Microsecond) }
+	meta := func(tid int, lane string) TraceEvent {
+		return TraceEvent{Name: "thread_name", Ph: "M", PID: 1, TID: tid, Args: map[string]string{"name": lane}}
+	}
+	cell := func(tid int, lane, name, source, key string, ts, dur float64) TraceEvent {
+		return TraceEvent{Name: name, Cat: "cell", Ph: "X", TS: ts, Dur: dur, PID: 1, TID: tid,
+			Args: map[string]string{"owner": lane, "source": source, "key": key}}
+	}
+
+	tr.Span("local-0", "H100x64/DAP-8", "cell", "analytic", "v5:a", at(1_234_567), at(3_210_987))
+	tr.Span("memo", "H100x64/DAP-8", "cell", "memo", "v5:a", at(3_300_001), at(3_300_001))
+	tr.Span("w-1", "A100x32/DAP-4", "cell", "simulated", "v5:b", at(2_000_003), at(90_000_007))
+	tr.Span("local-0", "early", "cell", "store-hit", "v5:c", t0.Add(-time.Hour), at(5_000_333))
+	tr.Span("coordinator", "backwards", "cell", "store-hit", "v5:d", at(7_777_777), at(7_000_000))
+	tr.Span("local-1", "H100x128/DAP-1", "cell", "simulated", "v5:e", at(8_000_000), at(8_123_456_789))
+	tr.Span("w-1", "A100x32/DAP-2", "cell", "remote", "v5:f", at(91_000_000), at(91_000_999))
+	want := []TraceEvent{
+		meta(0, "local-0"),
+		cell(0, "local-0", "H100x64/DAP-8", "analytic", "v5:a", us(1_234_567), us(3_210_987-1_234_567)),
+		meta(1, "memo"),
+		cell(1, "memo", "H100x64/DAP-8", "memo", "v5:a", us(3_300_001), 0),
+		meta(2, "w-1"),
+		cell(2, "w-1", "A100x32/DAP-4", "simulated", "v5:b", us(2_000_003), us(90_000_007-2_000_003)),
+		cell(0, "local-0", "early", "store-hit", "v5:c", 0, us(5_000_333)),
+		meta(3, "coordinator"),
+		cell(3, "coordinator", "backwards", "store-hit", "v5:d", us(7_777_777), 0),
+		meta(4, "local-1"),
+		cell(4, "local-1", "H100x128/DAP-1", "simulated", "v5:e", us(8_000_000), us(8_123_456_789-8_000_000)),
+		cell(2, "w-1", "A100x32/DAP-2", "remote", "v5:f", us(91_000_000), us(999)),
+	}
+	var got, wantBytes bytes.Buffer
+	if err := tr.WriteChromeTrace(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewEncoder(&wantBytes).Encode(want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != wantBytes.String() {
+		t.Fatalf("trace bytes drifted:\n got %s\nwant %s", got.String(), wantBytes.String())
+	}
+
+	// An empty tracer and a nil one both write an empty array.
+	for _, tr := range []*Tracer{NewTracer(), nil} {
+		var b bytes.Buffer
+		if err := tr.WriteChromeTrace(&b); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != "[]\n" {
+			t.Fatalf("empty trace wrote %q, want %q", b.String(), "[]\n")
+		}
 	}
 }

@@ -25,14 +25,24 @@ type TraceEvent struct {
 // Tracer records lifecycle spans against named lanes (one Perfetto thread
 // row per lane — a fabric worker, a local engine slot, the queue). Spans
 // carry wall-clock times; the tracer renders them as microsecond offsets
-// from its creation instant. Safe for concurrent use; a nil Tracer ignores
-// every call, so per-cell instrumentation costs one nil check when tracing
-// is off.
+// from its creation instant. A span is kept as a typed record and becomes a
+// TraceEvent, args map included, only when the trace is read. Safe for
+// concurrent use; a nil Tracer ignores every call, so per-cell
+// instrumentation costs one nil check when tracing is off.
 type Tracer struct {
-	mu     sync.Mutex
-	t0     time.Time
-	lanes  map[string]int
-	events []TraceEvent
+	mu    sync.Mutex
+	t0    time.Time
+	lanes map[string]int // lane name -> tid
+	names []string       // lane names by tid
+	spans []span
+}
+
+// span is one recorded span: its lane's tid, the caller's strings as
+// passed, and its start and duration as offsets from t0.
+type span struct {
+	tid                    int
+	name, cat, source, key string
+	start, dur             time.Duration
 }
 
 // NewTracer returns a tracer whose time origin is now.
@@ -40,25 +50,11 @@ func NewTracer() *Tracer {
 	return &Tracer{t0: time.Now(), lanes: map[string]int{}}
 }
 
-// laneLocked maps a lane name to its stable tid, emitting the Perfetto
-// thread_name metadata event on first use.
-func (t *Tracer) laneLocked(name string) int {
-	if tid, ok := t.lanes[name]; ok {
-		return tid
-	}
-	tid := len(t.lanes)
-	t.lanes[name] = tid
-	t.events = append(t.events, TraceEvent{
-		Name: "thread_name", Ph: "M", PID: 1, TID: tid,
-		Args: map[string]string{"name": name},
-	})
-	return tid
-}
-
-// Span records one complete span on the named lane. Times before the
+// Span records one complete span on the named lane; the rendered event's
+// args are {"owner": lane, "source": source, "key": key}. Times before the
 // tracer's origin clamp to it; an end before start records a zero-duration
 // span. No-op on a nil Tracer.
-func (t *Tracer) Span(lane, name, cat string, start, end time.Time, args map[string]string) {
+func (t *Tracer) Span(lane, name, cat, source, key string, start, end time.Time) {
 	if t == nil {
 		return
 	}
@@ -70,27 +66,53 @@ func (t *Tracer) Span(lane, name, cat string, start, end time.Time, args map[str
 	if end.Before(start) {
 		end = start
 	}
-	t.events = append(t.events, TraceEvent{
-		Name: name, Cat: cat, Ph: "X",
-		TS:  float64(start.Sub(t.t0)) / float64(time.Microsecond),
-		Dur: float64(end.Sub(start)) / float64(time.Microsecond),
-		PID: 1, TID: t.laneLocked(lane),
-		Args: args,
+	tid, ok := t.lanes[lane]
+	if !ok {
+		tid = len(t.names)
+		t.lanes[lane] = tid
+		t.names = append(t.names, lane)
+	}
+	t.spans = append(t.spans, span{
+		tid: tid, name: name, cat: cat, source: source, key: key,
+		start: start.Sub(t.t0), dur: end.Sub(start),
 	})
 }
 
-// Events returns a snapshot copy of the recorded events, in record order.
+// Events renders the recorded spans in record order, each lane's Perfetto
+// thread_name metadata event just before its first span.
 func (t *Tracer) Events() []TraceEvent {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]TraceEvent(nil), t.events...)
+	if len(t.spans) == 0 {
+		return nil
+	}
+	events := make([]TraceEvent, 0, len(t.names)+len(t.spans))
+	named := 0 // tids are handed out in first-use order
+	for _, s := range t.spans {
+		lane := t.names[s.tid]
+		if s.tid == named {
+			events = append(events, TraceEvent{
+				Name: "thread_name", Ph: "M", PID: 1, TID: s.tid,
+				Args: map[string]string{"name": lane},
+			})
+			named++
+		}
+		events = append(events, TraceEvent{
+			Name: s.name, Cat: s.cat, Ph: "X",
+			TS:  float64(s.start) / float64(time.Microsecond),
+			Dur: float64(s.dur) / float64(time.Microsecond),
+			PID: 1, TID: s.tid,
+			Args: map[string]string{"owner": lane, "source": s.source, "key": s.key},
+		})
+	}
+	return events
 }
 
-// WriteChromeTrace serializes the snapshot as a Chrome trace JSON array. A
-// nil Tracer writes an empty array.
+// WriteChromeTrace serializes the events as a Chrome trace JSON array. A
+// nil or empty Tracer writes an empty array.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	events := t.Events()
 	if events == nil {

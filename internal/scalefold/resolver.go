@@ -82,8 +82,8 @@ type Resolver struct {
 	own    SweepMetrics                   // counts when Metrics is nil
 	prep   sweep.Cache[[][]time.Duration] // the estimator's prep-stream memo, for this Resolver's life
 	laneMu sync.Mutex
-	free   []int // released trace lanes
-	opened int   // trace lanes opened so far
+	free   []string // released trace lanes
+	opened int      // trace lanes opened so far
 }
 
 // m returns the counters resolution writes to.
@@ -134,10 +134,7 @@ func (r *Resolver) Resolve(ctx context.Context, c StepConfig) (res cluster.Resul
 			end := time.Now()
 			r.release(lane)
 			if err == nil && src != FromRemote {
-				owner := "local-" + strconv.Itoa(lane)
-				r.Trace.Span(owner, c.Name, "cell", t0, end, map[string]string{
-					"owner": owner, "source": string(src), "key": key,
-				})
+				r.Trace.Span(lane, c.Name, "cell", string(src), key, t0, end)
 			}
 		}()
 	}
@@ -212,9 +209,7 @@ func (r *Resolver) memoHit(name, key string) {
 	r.m().MemoHits.Add(1)
 	if r.Trace != nil {
 		now := time.Now()
-		r.Trace.Span("memo", name, "cell", now, now, map[string]string{
-			"owner": "memo", "source": "memo", "key": key,
-		})
+		r.Trace.Span("memo", name, "cell", "memo", key, now, now)
 	}
 }
 
@@ -230,8 +225,9 @@ func (r *Resolver) must(c StepConfig) cluster.Result {
 }
 
 // lane takes a free trace lane, opening a new one when all are busy, so
-// concurrent resolutions never share a lane.
-func (r *Resolver) lane() int {
+// concurrent resolutions never share a lane. A lane's name is built once,
+// when it opens.
+func (r *Resolver) lane() string {
 	r.laneMu.Lock()
 	defer r.laneMu.Unlock()
 	if n := len(r.free); n > 0 {
@@ -240,10 +236,10 @@ func (r *Resolver) lane() int {
 		return l
 	}
 	r.opened++
-	return r.opened - 1
+	return "local-" + strconv.Itoa(r.opened-1)
 }
 
-func (r *Resolver) release(lane int) {
+func (r *Resolver) release(lane string) {
 	r.laneMu.Lock()
 	r.free = append(r.free, lane)
 	r.laneMu.Unlock()

@@ -36,6 +36,9 @@ type job struct {
 	// onState, when set, observes every lifecycle transition (the server's
 	// gauge bookkeeping). Called under j.mu; must not block.
 	onState func(from, to string)
+	// retained, when set, receives the event log's bytes at finalize; the
+	// server takes them back when it evicts the job.
+	retained *obs.Gauge
 
 	mu       sync.Mutex
 	state    string
@@ -52,6 +55,7 @@ type job struct {
 	frontier     *scalefold.Frontier
 	frontierSize int
 	events       [][]byte      // marshaled NDJSON lines, append-only
+	logBytes     int64         // the lines' total length
 	notify       chan struct{} // closed and replaced on every append/state change
 }
 
@@ -128,6 +132,7 @@ func (j *job) appendLocked(ev any) {
 		return // unreachable: every event type is marshal-safe
 	}
 	j.events = append(j.events, append(line, '\n'))
+	j.logBytes += int64(len(line)) + 1
 	j.wakeLocked()
 }
 
@@ -160,6 +165,7 @@ func (j *job) finalizeLocked(state string, err error) {
 		Type: "done", State: state, Rows: j.rows, Skipped: j.skipped,
 		Counts: j.counts(), Error: j.err,
 	})
+	j.retained.Add(j.logBytes) // the log is complete: nothing appends after done
 }
 
 // counts snapshots how the job's executed cells were satisfied so far.

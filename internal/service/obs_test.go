@@ -76,6 +76,59 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestRetainedEventBytesGauge runs more jobs than MaxFinishedJobs keeps
+// and checks scalefold_service_retained_event_bytes on /v1/metrics against
+// the streamed bytes of the jobs still listed: eviction takes back exactly
+// what finalize added.
+func TestRetainedEventBytesGauge(t *testing.T) {
+	_, c, stop := newTestServer(t, Config{Workers: 1, MaxFinishedJobs: 2})
+	defer stop()
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := c.http().Get(c.url(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	gauge := regexp.MustCompile(`(?m)^scalefold_service_retained_event_bytes (\d+)$`)
+	for i, daps := range [][]int{{1}, {1, 2}, {2}, {1, 2}, {1}} {
+		spec := tinyJob()
+		spec.DAPs = daps
+		spec.Ablations = spec.Ablations[:1+i%2]
+		st, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done, err := c.Stream(st.ID, nil); err != nil || done.State != StateDone {
+			t.Fatalf("stream: %+v, %v", done, err)
+		}
+	}
+	list, err := c.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 3 {
+		t.Fatalf("%d jobs listed, want MaxFinishedJobs (2) plus the last submitted", len(list))
+	}
+	streamed := 0
+	for _, st := range list {
+		streamed += len(get("/v1/jobs/" + st.ID + "/stream"))
+	}
+	m := gauge.FindSubmatch(get("/v1/metrics"))
+	if m == nil {
+		t.Fatal("metrics missing scalefold_service_retained_event_bytes")
+	}
+	if string(m[1]) != fmt.Sprint(streamed) {
+		t.Fatalf("retained event bytes gauge = %s, want %d (the listed jobs' streams)", m[1], streamed)
+	}
+}
+
 // TestTraceEndpoint proves the trace export contract: the download is valid
 // Chrome trace-event JSON that unmarshals into obs.TraceEvent, and the job's
 // spans cover every cell exactly once with local-engine attribution (no

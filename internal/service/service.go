@@ -116,6 +116,9 @@ type svcMetrics struct {
 	submitted *obs.Counter
 	queued    *obs.Gauge
 	running   *obs.Gauge
+	// retained is the NDJSON event-log bytes held by retained finished
+	// jobs: a job adds its log at finalize, and eviction takes it back.
+	retained *obs.Gauge
 	// The analytic fast path: how many cells the closed-form estimator
 	// served vs the exact simulator, how many auto-mode cells escalated,
 	// and the estimator's latency distribution.
@@ -140,6 +143,8 @@ func newSvcMetrics(r *obs.Registry) svcMetrics {
 		submitted: r.Counter("scalefold_service_jobs_submitted_total", "Jobs accepted by POST /v1/jobs."),
 		queued:    r.Gauge("scalefold_service_jobs_queued", "Jobs waiting for a scheduler slot."),
 		running:   r.Gauge("scalefold_service_jobs_running", "Jobs currently executing."),
+		retained: r.Gauge("scalefold_service_retained_event_bytes",
+			"NDJSON event-log bytes held by retained finished jobs."),
 		analyticCells: r.Counter("scalefold_service_analytic_cells_total",
 			"Cells served by the closed-form analytic estimator."),
 		exactCells: r.Counter("scalefold_service_exact_cells_total",
@@ -351,6 +356,7 @@ func (s *Server) enqueue(j *job) (JobStatus, error) {
 	j.ctx, j.cancelCtx = context.WithCancel(context.Background())
 	j.trace = obs.NewTracer()
 	j.onState = s.met.jobState
+	j.retained = s.met.retained
 	// Count the job queued before it is visible to a scheduler: start() fires
 	// the queued→running transition as soon as a worker dequeues it.
 	s.met.queued.Add(1)
@@ -391,9 +397,11 @@ func (s *Server) pruneLocked() {
 		j := s.jobs[id]
 		j.mu.Lock()
 		done := j.finishedLocked()
+		logBytes := j.logBytes
 		j.mu.Unlock()
 		if done && finished > s.cfg.MaxFinishedJobs {
 			delete(s.jobs, id)
+			s.met.retained.Add(-logBytes)
 			finished--
 			continue
 		}
@@ -523,9 +531,7 @@ func (s *Server) runKind(j *job, run func(context.Context, *scalefold.Resolver) 
 			if start.IsZero() {
 				start = end
 			}
-			j.trace.Span(rep.Owner, c.Name, "cell", start, end, map[string]string{
-				"owner": rep.Owner, "source": rep.Source, "key": rep.Key,
-			})
+			j.trace.Span(rep.Owner, c.Name, "cell", rep.Source, rep.Key, start, end)
 			return res, nil
 		}
 	}

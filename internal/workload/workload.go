@@ -9,6 +9,7 @@
 package workload
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/comm"
@@ -84,13 +85,67 @@ type SyncPoint struct {
 }
 
 // Program is the whole step: compute groups plus DAP sync points and the
-// final data-parallel gradient all-reduce.
+// final data-parallel gradient all-reduce. Census builds it and it is
+// read-only afterwards, which is what lets it memoize its Price; share it
+// by pointer and never copy it.
 type Program struct {
 	Groups      []Group
 	Syncs       []SyncPoint
 	GradBytes   float64 // gradient volume for the DP all-reduce
 	ClipKernels int     // launches used by gradient clipping
 	OptKernels  int     // informational: optimizer launches (subset of Groups)
+
+	priceMu sync.Mutex
+	prices  []pricedAs // one per (arch, flatEff, zeroSerial) priced so far
+}
+
+// Price is a census's step priced on one arch: Group.Cost summed over the
+// priced groups. Every field is an integer sum, so it is exact in any order.
+type Price struct {
+	Kernel        time.Duration // roofline GPU time of every launch
+	Serial        time.Duration // the part of Kernel in serial groups
+	Launches      int           // kernel launches per step
+	ExposedLaunch time.Duration // launch overhead the kernels leave exposed
+}
+
+type priceKey struct {
+	arch                gpu.Arch
+	flatEff, zeroSerial bool
+}
+
+type pricedAs struct {
+	key   priceKey
+	price Price
+}
+
+// Price returns the step priced on a, leaving out the serial groups when
+// zeroSerial holds; flatEff is Group.Cost's. The first call per (a, flatEff,
+// zeroSerial) walks the groups, later ones read the memo. Safe for
+// concurrent use.
+func (p *Program) Price(a gpu.Arch, flatEff, zeroSerial bool) Price {
+	k := priceKey{a, flatEff, zeroSerial}
+	p.priceMu.Lock()
+	defer p.priceMu.Unlock()
+	for _, e := range p.prices {
+		if e.key == k {
+			return e.price
+		}
+	}
+	var pr Price
+	for _, g := range p.Groups {
+		if zeroSerial && g.Serial {
+			continue
+		}
+		d, exposed := g.Cost(a, flatEff)
+		pr.Kernel += d
+		if g.Serial {
+			pr.Serial += d
+		}
+		pr.Launches += g.Calls
+		pr.ExposedLaunch += exposed
+	}
+	p.prices = append(p.prices, pricedAs{k, pr})
+	return pr
 }
 
 // Options selects which ScaleFold optimizations transform the census. The
