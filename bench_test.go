@@ -457,8 +457,9 @@ func BenchmarkAnalyticVsExact(b *testing.B) {
 	})
 	b.Run("analytic", func(b *testing.B) {
 		// One untimed pass warms the estimator's process-global census memo
-		// (shared with figure runs), so the timed passes price steady-state
-		// estimation — the memo cache and store stay cold, as in exact.
+		// (shared with figure runs) and prices those censuses, so the timed
+		// passes price steady-state estimation — the memo cache and store
+		// stay cold, as in exact.
 		if _, err := modeSpec(scenario.ModeAnalytic).Run(b.Context(), nil); err != nil {
 			b.Fatal(err)
 		}

@@ -13,7 +13,9 @@ import (
 // the Figure 7 ScaleFold configuration at DAP-8 (CUDA graphs, non-blocking
 // loader, serial). Each phase reruns on the previous phases' output, built
 // once outside the timer, so its ns/op and allocs/op are its own and the
-// four sum to one BenchmarkClusterSimulateDAP8 iteration. The seed is fixed,
+// four sum to one BenchmarkClusterSimulateDAP8 iteration. The skeleton built
+// outside the timer prices the census, so the skeleton phase times a priced
+// census, as every cell after a census's first does. The seed is fixed,
 // so every iteration repeats the same draws. CI appends the run to
 // BENCH_sim.json, where a speed-up claim shows which phase it moved.
 func BenchmarkSimulatePhases(b *testing.B) {
