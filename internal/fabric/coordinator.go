@@ -51,7 +51,6 @@ type task struct {
 // these into their trace so the fleet timeline shows true worker-side
 // execution windows, not RPC-bracketed guesses.
 type CellReport struct {
-	Key      string
 	Owner    string // settling worker ID; "coordinator" for a store fast-path hit
 	Source   string // "store-hit" or "simulated"
 	Enqueued time.Time
@@ -442,25 +441,25 @@ func (c *Coordinator) expireLocked(now time.Time) {
 	}
 }
 
-// Execute dispatches one cell to the worker fleet and blocks until a worker
-// settles it, the retry budget is exhausted, the coordinator closes, or ctx
-// is cancelled. Concurrent Executes of the same fingerprint share one task
-// (fabric-level singleflight), and a cell already in the shared store is
-// served without dispatch.
+// Execute dispatches one cell, keyed by its fingerprint, to the worker fleet
+// and blocks until a worker settles it, the retry budget is exhausted, the
+// coordinator closes, or ctx is cancelled. Concurrent Executes of the same
+// fingerprint share one task (fabric-level singleflight), and a cell already
+// in the shared store is served without dispatch.
 func (c *Coordinator) Execute(ctx context.Context, cfg scalefold.StepConfig) (cluster.Result, error) {
-	res, _, err := c.ExecuteReport(ctx, cfg)
+	res, _, err := c.ExecuteReport(ctx, cfg, cfg.Fingerprint())
 	return res, err
 }
 
-// ExecuteReport is Execute plus the cell's lifecycle report: who settled it,
-// how, and when each stage happened — the data a job trace renders as spans.
-// The report is meaningful only when err is nil.
-func (c *Coordinator) ExecuteReport(ctx context.Context, cfg scalefold.StepConfig) (cluster.Result, CellReport, error) {
-	key := cfg.Fingerprint()
+// ExecuteReport is Execute under the caller's key (a lowered cell's), plus
+// the cell's lifecycle report: who settled it, how, and when each stage
+// happened — the data a job trace renders as spans. Workers check key
+// against the scenario. The report is meaningful only when err is nil.
+func (c *Coordinator) ExecuteReport(ctx context.Context, cfg scalefold.StepConfig, key string) (cluster.Result, CellReport, error) {
 	if r, ok := scalefold.StoreHit(c.st, key); ok {
 		now := c.cfg.Now()
 		return r, CellReport{
-			Key: key, Owner: "coordinator", Source: "store-hit",
+			Owner: "coordinator", Source: "store-hit",
 			Enqueued: now, Claimed: now, Settled: now,
 		}, nil
 	}
@@ -488,7 +487,7 @@ func (c *Coordinator) ExecuteReport(ctx context.Context, cfg scalefold.StepConfi
 		c.mu.Unlock()
 		// Settled task fields are immutable after doneCh closes.
 		return t.res, CellReport{
-			Key: key, Owner: t.owner, Source: t.source,
+			Owner: t.owner, Source: t.source,
 			Enqueued: t.enqueued, Claimed: t.claimedAt, Settled: t.settledAt,
 			Elapsed: t.elapsed, Retries: t.retries,
 		}, t.err

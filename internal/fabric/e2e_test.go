@@ -2,11 +2,13 @@ package fabric_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -373,6 +375,48 @@ func TestFabricStalledWorkerExpiresAndLateCompletesRejected(t *testing.T) {
 	}
 	if fs.Rejected < 3 { // two direct probes + at least one from the zombie
 		t.Fatalf("rejected completes = %d, want >= 3: %+v", fs.Rejected, fs)
+	}
+}
+
+// TestWorkerRefusesCellUnderWrongKey dispatches a cell under the key of
+// another scenario. The coordinator trusts its caller's key, so the worker's
+// check is the shared store's only guard: every attempt must come back as an
+// error and be requeued, the dispatch must fail once MaxRetries is spent,
+// and neither the fleet's store nor the coordinator's may hold a record
+// under the claimed key.
+func TestWorkerRefusesCellUnderWrongKey(t *testing.T) {
+	const retries = 2
+	var attempts atomic.Int64
+	fl := fakeworker.Start(t, fakeworker.Options{
+		Workers: 2,
+		Fabric:  fabric.Config{MaxRetries: retries},
+		Configure: func(_ int, w *fabric.Worker) {
+			w.BeforeCell = func(string) { attempts.Add(1) }
+		},
+	})
+	cfg := scalefold.Figure7Config("H100", 32, 2)
+	cfg.Steps = 2
+	key := scalefold.Figure7Config("H100", 32, 1).Fingerprint()
+	ctx, cancel := context.WithTimeout(t.Context(), 10*time.Second)
+	defer cancel()
+	coord := fl.Server.Coordinator()
+	_, _, err := coord.ExecuteReport(ctx, cfg, key)
+	if err == nil || !strings.Contains(err.Error(), "retry budget exhausted") || !strings.Contains(err.Error(), "fingerprint mismatch") {
+		t.Fatalf("dispatch under a wrong key = %v, want retry exhaustion on a fingerprint mismatch", err)
+	}
+	if n := attempts.Load(); n != retries+1 {
+		t.Errorf("workers attempted the cell %d times, want %d", n, retries+1)
+	}
+	if fs := coord.Fleet(); fs.Reassigned != retries || fs.Completed != 0 {
+		t.Errorf("fleet %+v: want %d requeues and no completed cell", fs, retries)
+	}
+	if n := fl.Metrics.Simulated.Load() + fl.Metrics.StoreHits.Load(); n != 0 {
+		t.Errorf("workers resolved the refused cell %d times", n)
+	}
+	for name, st := range map[string]store.Store[cluster.Result]{"fleet": fl.Shared, "coordinator": fl.Server.Store()} {
+		if _, ok := st.Get(key); ok {
+			t.Errorf("the %s store holds a record under the claimed key", name)
+		}
 	}
 }
 

@@ -215,9 +215,11 @@ func (w *Worker) Run(ctx context.Context) error {
 // executeCell resolves one claimed cell through r and reports its outcome,
 // including the measured execution time and how the cell was satisfied
 // (shared-store hit vs simulation) so the coordinator's job trace carries
-// true fleet timings. A cell that fails to resolve — one naming a platform
-// this build lacks, say, claimed from a newer coordinator — is reported as
-// an error, which requeues it against the coordinator's retry budget.
+// true fleet timings. It fingerprints the cell once, to check the scenario
+// against the claimed key, and resolves it under that key. A cell that fails
+// the check or fails to resolve — one naming a platform this build lacks,
+// say, claimed from a newer coordinator — is reported as an error, which
+// requeues it against the coordinator's retry budget.
 func (w *Worker) executeCell(r *scalefold.Resolver, cell Cell) {
 	cfg := scalefold.StepConfig{Name: cell.Name, Scenario: cell.Scenario}
 	req := CompleteRequest{WorkerID: w.ID(), Key: cell.Key}
@@ -227,7 +229,7 @@ func (w *Worker) executeCell(r *scalefold.Resolver, cell Cell) {
 		req.Err = "fingerprint mismatch: claimed " + cell.Key + ", scenario encodes " + got
 	} else {
 		t0 := time.Now()
-		res, src, err := r.Resolve(context.Background(), cfg)
+		res, src, err := r.Resolve(context.Background(), cfg, cell.Key)
 		if err != nil {
 			req.Err = err.Error()
 		} else {

@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"strconv"
@@ -166,7 +167,7 @@ func ParseJSON(data []byte) (Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("perturb: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return Spec{}, fmt.Errorf("perturb: trailing data after the spec")
 	}
 	if err := s.Validate(); err != nil {

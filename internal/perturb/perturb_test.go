@@ -62,11 +62,17 @@ func TestParseJSONStrictAndTyped(t *testing.T) {
 	if s.FailProb != 0.01 || s.RestartCost != 60 {
 		t.Fatalf("decoded %+v", s)
 	}
+	if _, err := ParseJSON([]byte("{\"fail_prob\":0.01}\n\t ")); err != nil {
+		t.Errorf("refused a whitespace tail: %v", err)
+	}
 	for name, in := range map[string]string{
-		"unknown field": `{"fail_prob":0.01,"restrat_cost_s":60}`,
-		"trailing doc":  `{"fail_prob":0.01}{"fail_prob":0.02}`,
-		"out of domain": `{"fail_prob":7}`,
-		"not json":      `fail_prob=0.01`,
+		"unknown field":    `{"fail_prob":0.01,"restrat_cost_s":60}`,
+		"trailing doc":     `{"fail_prob":0.01}{"fail_prob":0.02}`,
+		"closing brace":    `{"fail_prob":0.01}}`,
+		"closing bracket":  `{"fail_prob":0.01}]`,
+		"trailing garbage": `{"fail_prob":0.01} trailing garbage`,
+		"out of domain":    `{"fail_prob":7}`,
+		"not json":         `fail_prob=0.01`,
 	} {
 		if _, err := ParseJSON([]byte(in)); err == nil {
 			t.Errorf("%s: accepted %q", name, in)

@@ -124,26 +124,46 @@ func TestLoaderNextAfterExhaustionReturnsFalse(t *testing.T) {
 	}
 }
 
-// failingSource is a fakeSource whose Prepare of index fail returns an
-// error after failAfter.
-type failingSource struct {
-	fakeSource
-	fail      int
-	failAfter time.Duration
+// gatedSource prepares batch i only once the test closes release[i], so the
+// test, not the scheduler, decides when each batch is ready. started[i]
+// closes when a worker begins batch i. Batch fail returns an error once
+// released, and a batch never released stays in flight until Stop cancels
+// it.
+type gatedSource struct {
+	release, started []chan struct{}
+	fail             int
 }
 
-func (f *failingSource) Prepare(ctx context.Context, i int) (Batch, error) {
-	if i == f.fail {
-		time.Sleep(f.failAfter)
+func newGatedSource(n, fail int) *gatedSource {
+	s := &gatedSource{release: make([]chan struct{}, n), started: make([]chan struct{}, n), fail: fail}
+	for i := range s.release {
+		s.release[i], s.started[i] = make(chan struct{}), make(chan struct{})
+	}
+	return s
+}
+
+func (s *gatedSource) Len() int { return len(s.release) }
+
+func (s *gatedSource) Prepare(ctx context.Context, i int) (Batch, error) {
+	close(s.started[i])
+	select {
+	case <-s.release[i]:
+	case <-ctx.Done():
+		return Batch{}, ctx.Err()
+	}
+	if i == s.fail {
 		return Batch{}, errors.New("prepare failed")
 	}
-	return f.fakeSource.Prepare(ctx, i)
+	return Batch{Index: i, Payload: i}, nil
 }
 
 // TestLoaderPrepareError: when Prepare fails at one index, Next still
 // delivers what its rule allows — the blocking loader the batches before the
 // failure, the non-blocking one every other prepared batch — then returns
-// false, and Stop cancels the 10 s batch still in flight.
+// false, and Stop cancels the batches still in flight. Batches are released
+// through gates, so each asserted order is one the rules guarantee: batches
+// 0-2 are released and delivered one at a time, 4, 5 and 7 are deposited
+// before batch 3 fails, and 6 and 8 are never released.
 func TestLoaderPrepareError(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -154,21 +174,38 @@ func TestLoaderPrepareError(t *testing.T) {
 		{"non-blocking", NewNonBlocking, []int{0, 1, 2, 4, 5, 7}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			src := &failingSource{
-				fakeSource: fakeSource{prep: []time.Duration{0, 0, 0, 0, 0, 0, 10 * time.Second, 0}, scale: 1},
-				fail:       3,
-				failAfter:  100 * time.Millisecond,
-			}
+			src := newGatedSource(9, 3)
 			l := tc.mk(src, 3)
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			var got []int
-			for {
+			next := func() bool {
 				b, ok := l.Next(ctx)
-				if !ok {
-					break
+				if ok {
+					got = append(got, b.Index)
 				}
-				got = append(got, b.Index)
+				return ok
+			}
+			// Each of batches 0-2 is the only ready one when Next runs.
+			for i := 0; i < 3; i++ {
+				close(src.release[i])
+				next()
+			}
+			// The three workers now hold batches 3, 4 and 5. Release 4, 5
+			// and 7 one at a time. A worker starts batch j only once a
+			// released batch it held is deposited: with 3 unreleased and
+			// three workers, batch 6 starting means 4 is in the heap, 7
+			// means 5 is, and 8 means 7 is.
+			for _, step := range [][2]int{{4, 6}, {5, 7}, {7, 8}} {
+				close(src.release[step[0]])
+				select {
+				case <-src.started[step[1]]:
+				case <-ctx.Done():
+					t.Fatalf("batch %d never started (delivered %v)", step[1], got)
+				}
+			}
+			close(src.release[3])
+			for next() {
 			}
 			if ctx.Err() != nil {
 				t.Fatalf("Next ended on the context deadline, not the failure (delivered %v)", got)

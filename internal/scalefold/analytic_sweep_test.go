@@ -209,8 +209,8 @@ func TestAnalyticCellsNeverDispatch(t *testing.T) {
 	spec.Mode = scenario.ModeAnalytic
 	spec.Cache = sweep.NewCache[cluster.Result]()
 	var met SweepMetrics
-	spec.Resolver = &Resolver{Metrics: &met, Remote: func(_ context.Context, c StepConfig) (cluster.Result, error) {
-		t.Errorf("analytic cell %s dispatched to the fabric", c.Fingerprint())
+	spec.Resolver = &Resolver{Metrics: &met, Remote: func(_ context.Context, c StepConfig, key string) (cluster.Result, error) {
+		t.Errorf("analytic cell %s dispatched to the fabric", key)
 		return cluster.Result{}, nil
 	}}
 	rows, err := spec.Run(t.Context(), nil)
@@ -226,15 +226,23 @@ func TestAnalyticCellsNeverDispatch(t *testing.T) {
 }
 
 // TestResolverOwnsPrepMemo pins where the estimator's prep memo lives: in
-// the Resolver. A zero Resolver resolves an auto cell; the lowering estimate
-// fills the memo with the sampled pseudo-ranks' streams, the analytic
-// resolution reads that entry back without adding another, and the Result
-// equals a memo-less Estimate's.
+// the Resolver. A zero Resolver lowers and resolves an auto cell (Resolve
+// refuses it unlowered); the lowering estimate fills the memo with the
+// sampled pseudo-ranks' streams, the analytic resolution reads that entry
+// back without adding another, and the Result equals a memo-less
+// Estimate's.
 func TestResolverOwnsPrepMemo(t *testing.T) {
 	c := Figure7Config("H100", 64, 2)
 	c.Scenario.Mode = scenario.ModeAuto
 	var r Resolver
-	res, src, err := r.Resolve(t.Context(), c)
+	cell, err := r.lower(c, 0, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.Resolve(t.Context(), c, c.Fingerprint()); err == nil {
+		t.Fatal("Resolve accepted an auto-mode cell that was never lowered")
+	}
+	res, src, err := r.Resolve(t.Context(), cell.Config, cell.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +279,11 @@ func TestAutoEscalationDeterministic(t *testing.T) {
 	resolve := func() []string {
 		modes := make([]string, len(scs))
 		for i, sc := range scs {
-			n, err := sc.Normalize()
+			cell, err := r.lower(StepConfig{Scenario: sc}, 0, nil, scenario.ModeAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
-			modes[i] = r.resolveMode(n, scenario.ModeAuto).Mode
+			modes[i] = cell.Config.Mode
 		}
 		return modes
 	}

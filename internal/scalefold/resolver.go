@@ -2,6 +2,7 @@ package scalefold
 
 import (
 	"context"
+	"errors"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/analytic"
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/perturb"
 	"repro/internal/scenario"
 	"repro/internal/store"
 	"repro/internal/sweep"
@@ -39,12 +41,13 @@ type SweepMetrics struct {
 	Escalated atomic.Int64 // auto-mode cells whose bounds forced exact simulation
 }
 
-// Resolver turns cells into Results. Its Resolve method is the only code
-// that resolves auto mode, applies the store-hit rule, estimates, simulates
-// or dispatches, writes results through and counts how each cell was
-// satisfied: sweeps, resilience sweeps, searches, the figure runners and
-// fabric workers all resolve through one. The zero value resolves locally
-// with no store, no counters and no concurrency bound. A Resolver memoizes
+// Resolver turns cells into Results. Its lowering is the only code that
+// resolves auto mode and keys a cell, and Resolve the only code that applies
+// the store-hit rule, estimates, simulates or dispatches, writes results
+// through and counts how each cell was satisfied: sweeps, resilience sweeps,
+// searches, the figure runners and fabric workers all resolve through one.
+// The zero value resolves locally with no store, no counters and no
+// concurrency bound. A Resolver memoizes
 // the estimator's sampled prep streams for its life — one service job, one
 // CLI command, one fabric worker — so estimates that share a seed share
 // them, and the memo is freed with the Resolver. Set the fields before
@@ -75,9 +78,10 @@ type Resolver struct {
 	Slots chan struct{}
 	// Remote, when non-nil, replaces local simulation for exact cells the
 	// store cannot satisfy: the fabric coordinator dispatches them to its
-	// worker fleet. Analytic cells never travel — an estimate costs less
-	// than the round trip. A Remote error fails the cell.
-	Remote func(ctx context.Context, c StepConfig) (cluster.Result, error)
+	// worker fleet under the cell's lowered key. Analytic cells never
+	// travel — an estimate costs less than the round trip. A Remote error
+	// fails the cell.
+	Remote func(ctx context.Context, c StepConfig, key string) (cluster.Result, error)
 
 	own    SweepMetrics                   // counts when Metrics is nil
 	prep   sweep.Cache[[][]time.Duration] // the estimator's prep-stream memo, for this Resolver's life
@@ -109,12 +113,17 @@ func StoreHit(st store.Store[cluster.Result], key string) (cluster.Result, bool)
 	return r, ok && r.Goodput > 0
 }
 
-// Resolve turns one cell into its Result: a store hit, else an analytic
-// estimate, a Remote dispatch or an exact simulation per the cell's
-// (resolved) mode, written through to the store. It fails when ctx is done
-// before the cell starts, when the scenario does not lower (a platform this
-// build lacks, say) or simulate, and when Remote fails.
-func (r *Resolver) Resolve(ctx context.Context, c StepConfig) (res cluster.Result, src Source, err error) {
+// Resolve turns a lowered cell, c under its key, into its Result: a store
+// hit, else an analytic estimate, a Remote dispatch or an exact simulation
+// per the cell's mode, written through under key. The lowering keyed the
+// cell and resolved its auto mode, so an auto cell here is an error. Resolve
+// also fails when ctx is done before the cell starts, when the scenario does
+// not lower to simulator options (a platform this build lacks, say) or
+// simulate, and when Remote fails.
+func (r *Resolver) Resolve(ctx context.Context, c StepConfig, key string) (res cluster.Result, src Source, err error) {
+	if c.Mode == scenario.ModeAuto {
+		return cluster.Result{}, "", errors.New("scalefold: " + c.Name + ": an auto-mode cell must be lowered before it resolves")
+	}
 	if r.Slots != nil {
 		select {
 		case r.Slots <- struct{}{}:
@@ -125,8 +134,6 @@ func (r *Resolver) Resolve(ctx context.Context, c StepConfig) (res cluster.Resul
 	if err := ctx.Err(); err != nil {
 		return cluster.Result{}, "", err
 	}
-	c.Scenario = r.resolveMode(c.Scenario, "")
-	key := c.Fingerprint()
 	if r.Trace != nil {
 		lane := r.lane()
 		t0 := time.Now()
@@ -154,7 +161,7 @@ func (r *Resolver) Resolve(ctx context.Context, c StepConfig) (res cluster.Resul
 		r.m().Analytic.Add(1)
 		src = FromEstimate
 	case r.Remote != nil:
-		if res, err = r.Remote(ctx, c); err != nil {
+		if res, err = r.Remote(ctx, c, key); err != nil {
 			return cluster.Result{}, "", err
 		}
 		r.m().Remote.Add(1)
@@ -178,17 +185,30 @@ func (r *Resolver) Resolve(ctx context.Context, c StepConfig) (res cluster.Resul
 	return res, src, nil
 }
 
-// resolveMode stamps mode on a scenario that names none (a scenario's own
-// mode wins, as its perturb block outranks a spec's) and resolves auto mode
-// to its concrete per-cell resolution: analytic when the estimate's bounds
-// are actionable under analytic.DefaultPolicy, exact — counted as an
-// escalation — when they straddle a decision boundary or the estimator
-// fails. Deterministic, since the estimator is a pure function of the
-// scenario: the same cells escalate on every run, machine and worker count.
-// Sweeps and searches call it while lowering, so the cells they memoize
-// carry the same analytic or exact fingerprints an explicitly-moded run
-// would.
-func (r *Resolver) resolveMode(n scenario.Scenario, mode string) scenario.Scenario {
+// lower turns c into the cell every later layer reads: the run's memo,
+// Resolve, the Remote dispatcher and the coordinator's queue. It validates
+// and normalizes the scenario and fills what it leaves unset from its spec —
+// simWorkers, the perturbation p, mode — so a scenario's own setting wins
+// ("exact" and a no-op perturb block normalize to unset). Auto mode resolves
+// to analytic when the estimate's bounds are actionable under
+// analytic.DefaultPolicy, else to exact, counted as an escalation: a pure
+// function of the scenario, so the same cells escalate on every run and
+// carry the fingerprints an explicitly-moded run would. The cell's
+// fingerprint is taken here, once.
+func (r *Resolver) lower(c StepConfig, simWorkers int, p *perturb.Spec, mode string) (sweep.Cell[StepConfig], error) {
+	if err := c.Validate(); err != nil {
+		return sweep.Cell[StepConfig]{}, err
+	}
+	n, _ := c.Normalize() // cannot fail: Validate resolved every reference
+	if n.SimWorkers == 0 {
+		n.SimWorkers = simWorkers
+	}
+	if n.Perturb == nil && p != nil {
+		// Normalize again, so a no-op spec block folds away and the cell
+		// keeps its v3 identity.
+		n.Perturb = p
+		n, _ = n.Normalize()
+	}
 	if n.Mode == "" && mode != scenario.ModeExact {
 		n.Mode = mode
 	}
@@ -200,7 +220,8 @@ func (r *Resolver) resolveMode(n scenario.Scenario, mode string) scenario.Scenar
 			n.Mode = scenario.ModeAnalytic
 		}
 	}
-	return n
+	c.Scenario = n
+	return sweep.Cell[StepConfig]{Key: c.Fingerprint(), Label: c.Name, Config: c}, nil
 }
 
 // memoHit counts a cell the run's memo settled without resolving it, and
@@ -211,17 +232,6 @@ func (r *Resolver) memoHit(name, key string) {
 		now := time.Now()
 		r.Trace.Span("memo", name, "cell", "memo", key, now, now)
 	}
-}
-
-// must resolves a cell known to lower — one this package's configuration
-// helpers built, or one a RunVia caller validated — so a failure is a
-// programming error.
-func (r *Resolver) must(c StepConfig) cluster.Result {
-	res, _, err := r.Resolve(context.Background(), c)
-	if err != nil {
-		panic("scalefold: " + c.Name + ": " + err.Error())
-	}
-	return res
 }
 
 // lane takes a free trace lane, opening a new one when all are busy, so

@@ -9,18 +9,24 @@ import (
 	"repro/internal/store"
 )
 
-// TestTracingAddsNoAllocPerCell pins the cost of a cell span: a store-hit
-// Resolve on a warmed traced Resolver allocates no more often than on an
-// untraced one. The span is a typed record appended to the tracer, with no
-// args map and no lane name built per cell.
+// TestTracingAddsNoAllocPerCell pins the cost of a cell span and of Resolve
+// itself. A store-hit Resolve on a warmed traced Resolver allocates no more
+// often than on an untraced one: the span is a typed record appended to the
+// tracer, with no args map and no lane name built per cell. And an untraced
+// store hit of a lowered cell allocates no more than the store's own Get:
+// Resolve takes no fingerprint, since the lowering keyed the cell once.
 func TestTracingAddsNoAllocPerCell(t *testing.T) {
 	c := Figure7Config("H100", 64, 2)
 	c.Scenario.Mode = scenario.ModeAnalytic
 	st := store.NewMem[cluster.Result]()
 	tr := obs.NewTracer()
 	plain, traced := &Resolver{Store: st}, &Resolver{Store: st, Trace: tr}
+	cell, err := plain.lower(c, 0, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	resolve := func(r *Resolver) {
-		if _, _, err := r.Resolve(t.Context(), c); err != nil {
+		if _, _, err := r.Resolve(t.Context(), cell.Config, cell.Key); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -33,6 +39,9 @@ func TestTracingAddsNoAllocPerCell(t *testing.T) {
 	bare, withTrace := allocs(plain), allocs(traced)
 	if withTrace-bare > 0.05 {
 		t.Errorf("a traced store hit makes %.2f allocations, an untraced one %.2f", withTrace, bare)
+	}
+	if get := testing.AllocsPerRun(500, func() { st.Get(cell.Key) }); bare > get {
+		t.Errorf("an untraced store-hit Resolve makes %.2f allocations, the store's Get %.2f", bare, get)
 	}
 	spans := 0
 	for _, ev := range tr.Events() {

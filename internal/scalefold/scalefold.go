@@ -17,6 +17,7 @@
 package scalefold
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -44,9 +45,9 @@ type StepConfig struct {
 var Ablations = scenario.Ablations
 
 // RunVia resolves the configuration against st — a store hit, else a
-// simulation (or estimate) written through — counting on m: Resolve on a
-// one-off Resolver. It panics on a scenario that does not lower, which
-// Resolve reports as an error instead.
+// simulation (or estimate) written through — counting on m: the lowering and
+// Resolve on a one-off Resolver. It panics on a scenario that does not
+// lower, which a sweep reports as an error instead.
 func (c StepConfig) RunVia(st store.Store[cluster.Result], onErr func(error), m *SweepMetrics) cluster.Result {
 	return (&Resolver{Store: st, OnStoreErr: onErr, Metrics: m}).must(c)
 }
@@ -59,19 +60,33 @@ func (c StepConfig) Run() cluster.Result { return c.RunVia(nil, nil, nil) }
 // quantity a step-time microbenchmark reports (rare data stalls excluded).
 func (c StepConfig) StepSeconds() float64 { return c.Run().MedianStep.Seconds() }
 
-// runConfigs resolves step configurations through r on the sweep engine's
-// GOMAXPROCS workers, with a memo that lives for this call: a cell repeated
-// within one figure resolves once, and sharing across figures comes from
-// r's store. Results come back in input order, so downstream output is
-// byte-identical for every worker count.
-func runConfigs(r *Resolver, cfgs []StepConfig) []cluster.Result {
+// runConfigs lowers and resolves step configurations through r on the sweep
+// engine's GOMAXPROCS workers, with a memo that lives for this call: a cell
+// repeated within one figure resolves once, and sharing across figures comes
+// from r's store. Results come back in input order, so downstream output is
+// byte-identical for every worker count. The configurations are known to
+// lower (this package built them, or a RunVia caller validated them), so a
+// failure is a programming error and panics.
+func runConfigs(r *Resolver, cfgs ...StepConfig) []cluster.Result {
 	cells := make([]sweep.Cell[StepConfig], len(cfgs))
+	var err error
 	for i, c := range cfgs {
-		cells[i] = sweep.Cell[StepConfig]{Key: c.Fingerprint(), Label: c.Name, Config: c}
+		if cells[i], err = r.lower(c, 0, nil, ""); err != nil {
+			panic("scalefold: " + c.Name + ": " + err.Error())
+		}
 	}
 	eng := sweep.Engine[StepConfig, cluster.Result]{Cache: sweep.NewCache[cluster.Result]()}
-	return eng.Run(cells, r.must)
+	return eng.Run(cells, func(cell sweep.Cell[StepConfig]) cluster.Result {
+		res, _, err := r.Resolve(context.Background(), cell.Config, cell.Key)
+		if err != nil {
+			panic("scalefold: " + cell.Label + ": " + err.Error())
+		}
+		return res
+	})
 }
+
+// must is runConfigs for one configuration.
+func (r *Resolver) must(c StepConfig) cluster.Result { return runConfigs(r, c)[0] }
 
 // platformLabel returns the GPU architecture name of a platform for figure
 // labels ("H100" for "h100-eos"), falling back to the raw reference.
@@ -170,7 +185,7 @@ func Figure7(r *Resolver) []Fig7Row {
 	for i, r := range rows {
 		cfgs[i] = r.Config
 	}
-	res := runConfigs(r, cfgs)
+	res := runConfigs(r, cfgs...)
 	for i := range rows {
 		rows[i].Seconds = res[i].MedianStep.Seconds()
 	}
@@ -231,7 +246,7 @@ func Ladder(r *Resolver) []Rung {
 		rungs[i] = Rung{Label: l.Label, Paper: l.Paper, Config: c}
 		cfgs[i] = c
 	}
-	res := runConfigs(r, cfgs)
+	res := runConfigs(r, cfgs...)
 	base := res[0].MedianStep.Seconds()
 	for i := range rungs {
 		rungs[i].Seconds = res[i].MedianStep.Seconds()
@@ -332,7 +347,7 @@ func Figure3All(r *Resolver) map[int][]Barrier {
 	for i, d := range Figure3DAPs {
 		cfgs[i] = figure3Config(d)
 	}
-	res := runConfigs(r, cfgs)
+	res := runConfigs(r, cfgs...)
 	out := make(map[int][]Barrier, len(Figure3DAPs))
 	for i, d := range Figure3DAPs {
 		out[d] = figure3Bars(d, res[i])
@@ -352,7 +367,7 @@ func BaselineDAPSpeedups(r *Resolver) map[int]float64 {
 			Platform: "A100", Ranks: 128 * d, DAP: d, Census: cen, Seed: 1,
 		}})
 	}
-	res := runConfigs(r, cfgs)
+	res := runConfigs(r, cfgs...)
 	base := res[0].MedianStep.Seconds()
 	out := map[int]float64{}
 	for i, d := range []int{2, 4, 8} {

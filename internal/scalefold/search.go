@@ -190,36 +190,26 @@ func (s SearchSpec) Validate() error {
 		if ranks%dap != 0 {
 			continue
 		}
-		cfg := Figure7Config(s.Platform, ranks, dap)
-		cfg.Steps = s.Steps
-		if err := cfg.Validate(); err != nil {
+		if err := s.configFor(search.Point{Ranks: ranks, DAP: dap}).Validate(); err != nil {
 			return fmt.Errorf("search: ranks=%d dap=%d: %w", ranks, dap, err)
 		}
 	}
 	return nil
 }
 
-// configFor lowers one probe point to a runnable StepConfig: the optimized
-// Figure 7 configuration at the point, the spec's step count and failure
-// perturbation, normalized and mode-resolved through r exactly as the sweep
-// layer would — so probe fingerprints, memo entries and store records are
-// shared with equivalent sweep and resilience cells.
-func (s SearchSpec) configFor(r *Resolver, pt search.Point) (StepConfig, error) {
-	cfg := Figure7Config(s.Platform, pt.Ranks, pt.DAP)
-	sc := cfg.Scenario
-	sc.Steps = s.Steps
-	sc.SimWorkers = s.SimWorkers
+// configFor builds one probe point's configuration: the optimized Figure 7
+// configuration at the point, with the spec's step count and the point's
+// failure perturbation. Lowered through the Resolver as a sweep cell is, a
+// probe shares its fingerprint, memo entry and store record with the
+// equivalent sweep and resilience cells.
+func (s SearchSpec) configFor(pt search.Point) StepConfig {
+	c := Figure7Config(s.Platform, pt.Ranks, pt.DAP)
+	c.Name = fmt.Sprintf("search ranks=%d dap=%d fail=%g", pt.Ranks, pt.DAP, pt.FailProb)
+	c.Steps = s.Steps
 	if pt.FailProb > 0 {
-		sc.Perturb = &perturb.Spec{FailProb: pt.FailProb, RestartCost: s.RestartCost}
+		c.Perturb = &perturb.Spec{FailProb: pt.FailProb, RestartCost: s.RestartCost}
 	}
-	n, err := sc.Normalize()
-	if err != nil {
-		return StepConfig{}, err
-	}
-	return StepConfig{
-		Name:     fmt.Sprintf("search ranks=%d dap=%d fail=%g", pt.Ranks, pt.DAP, pt.FailProb),
-		Scenario: r.resolveMode(n, s.Mode),
-	}, nil
+	return c
 }
 
 // Run is RunContext without cancellation.
@@ -251,16 +241,15 @@ func (s SearchSpec) RunContext(ctx context.Context) (Frontier, error) {
 	o := s.options()
 	o.Stop = func() bool { return ctx.Err() != nil }
 	o.Probe = func(pt search.Point) (search.Sample, string, error) {
-		cfg, err := s.configFor(r, pt)
+		cell, err := r.lower(s.configFor(pt), s.SimWorkers, nil, s.Mode)
 		if err != nil {
 			return search.Sample{}, "", err
 		}
-		key := cfg.Fingerprint()
 		t0 := time.Now()
 		var src Source
-		res, cached := cache.Do(key, func() cluster.Result {
+		res, cached := cache.Do(cell.Key, func() cluster.Result {
 			var res cluster.Result
-			res, src, err = r.Resolve(ctx, cfg)
+			res, src, err = r.Resolve(ctx, cell.Config, cell.Key)
 			return res
 		})
 		lastDur = time.Since(t0)
@@ -272,7 +261,7 @@ func (s SearchSpec) RunContext(ctx context.Context) (Frontier, error) {
 		source := "exact"
 		switch {
 		case cached:
-			r.memoHit(cfg.Name, key)
+			r.memoHit(cell.Label, cell.Key)
 			source = "memo-hit"
 		case src == FromStore:
 			source = "memo-hit"

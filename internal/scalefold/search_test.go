@@ -116,7 +116,7 @@ func TestSearchSpecValidate(t *testing.T) {
 func TestSearchProbeKeysMatchSweepCells(t *testing.T) {
 	spec := DefaultSearchSpec()
 	spec.Mode = "exact"
-	cfg, err := spec.configFor(&Resolver{}, search.Point{Ranks: 1024, DAP: 8, FailProb: 1e-4})
+	cell, err := (&Resolver{}).lower(spec.configFor(search.Point{Ranks: 1024, DAP: 8, FailProb: 1e-4}), spec.SimWorkers, nil, spec.Mode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestSearchProbeKeysMatchSweepCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := StepConfig{Scenario: n}.Fingerprint()
-	if got := cfg.Fingerprint(); got != want {
+	if got := cell.Key; got != want {
 		t.Fatalf("probe key %q != equivalent resilience cell key %q", got, want)
 	}
 }

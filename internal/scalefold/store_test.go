@@ -198,9 +198,9 @@ func TestSweepGateWrapsColdCellsOnly(t *testing.T) {
 	var gated atomic.Int64
 	counting := func() *Resolver {
 		local := &Resolver{}
-		return &Resolver{Remote: func(ctx context.Context, c StepConfig) (cluster.Result, error) {
+		return &Resolver{Remote: func(ctx context.Context, c StepConfig, key string) (cluster.Result, error) {
 			gated.Add(1)
-			res, _, err := local.Resolve(ctx, c)
+			res, _, err := local.Resolve(ctx, c, key)
 			return res, err
 		}}
 	}

@@ -175,22 +175,22 @@ func (s SweepSpec) Grid() sweep.Grid {
 	}}
 }
 
-// configFor lowers one grid point to a runnable StepConfig. The reported
-// error marks infeasible cells (rank/DAP mismatch).
-func (s SweepSpec) configFor(p sweep.Point) (StepConfig, error) {
+// cellFor builds one grid point's configuration and lowers it through r.
+// The reported error marks infeasible cells (rank/DAP mismatch).
+func (s SweepSpec) cellFor(r *Resolver, p sweep.Point) (sweep.Cell[StepConfig], error) {
 	platform := p.Get("arch")
 	if _, err := scenario.PlatformByName(platform); err != nil {
-		return StepConfig{}, err
+		return sweep.Cell[StepConfig]{}, err
 	}
 	ranks, _ := strconv.Atoi(p.Get("ranks"))
 	dap, _ := strconv.Atoi(p.Get("dap"))
 	seedIdx, _ := strconv.Atoi(p.Get("seed"))
 	ablate := p.Get("ablate")
 	if !scenario.ValidAblation(ablate) {
-		return StepConfig{}, fmt.Errorf("unknown ablation %q (want one of %v)", ablate, Ablations)
+		return sweep.Cell[StepConfig]{}, fmt.Errorf("unknown ablation %q (want one of %v)", ablate, Ablations)
 	}
 	if ranks < 1 || dap < 1 || ranks%dap != 0 {
-		return StepConfig{}, fmt.Errorf("infeasible cell: %d ranks cannot host DAP-%d", ranks, dap)
+		return sweep.Cell[StepConfig]{}, fmt.Errorf("infeasible cell: %d ranks cannot host DAP-%d", ranks, dap)
 	}
 	var c StepConfig
 	switch s.Profile {
@@ -203,21 +203,13 @@ func (s SweepSpec) configFor(p sweep.Point) (StepConfig, error) {
 	case "fastfold":
 		c = FastFoldConfig(platform, ranks, dap)
 	default:
-		return StepConfig{}, fmt.Errorf("unknown profile %q (want scalefold, baseline or fastfold)", s.Profile)
+		return sweep.Cell[StepConfig]{}, fmt.Errorf("unknown profile %q (want scalefold, baseline or fastfold)", s.Profile)
 	}
 	c.Name = p.Fingerprint()
 	c.Ablation = ablate
 	c.Steps = s.Steps
-	c.SimWorkers = s.SimWorkers
-	if s.Perturb != nil {
-		cp := *s.Perturb
-		c.Perturb = &cp
-	}
-	c.Seed = sweep.SeedFor(int64(seedIdx), p.Fingerprint())
-	if err := c.Validate(); err != nil {
-		return StepConfig{}, err
-	}
-	return c, nil
+	c.Seed = sweep.SeedFor(int64(seedIdx), c.Name)
+	return r.lower(c, s.SimWorkers, s.Perturb, s.Mode)
 }
 
 // scenarioPoint synthesizes the canonical axis coordinates of an explicit
@@ -346,30 +338,16 @@ func (s SweepSpec) Run(ctx context.Context, onProgress func(sweep.Progress)) ([]
 	if len(s.Scenarios) > 0 {
 		rows = make([]SweepRow, len(s.Scenarios))
 		for i, sc := range s.Scenarios {
-			n, err := sc.Normalize() // validated above; canonical names for display
+			cell, err := r.lower(StepConfig{Scenario: sc}, s.SimWorkers, s.Perturb, s.Mode)
 			if err != nil {
 				return nil, fmt.Errorf("sweep: scenarios[%d]: %w", i, err)
 			}
-			if n.SimWorkers == 0 {
-				// Spec-level execution knob; a scenario's own setting wins.
-				n.SimWorkers = s.SimWorkers
-			}
-			if n.Perturb == nil && s.Perturb != nil {
-				// Spec-level perturbation; a scenario's own block wins.
-				// Re-normalize so a no-op spec still collapses to nil (and
-				// the cell keeps its v3 identity).
-				cp := *s.Perturb
-				n.Perturb = &cp
-				if n, err = n.Normalize(); err != nil {
-					return nil, fmt.Errorf("sweep: scenarios[%d]: %w", i, err)
-				}
-			}
-			n = r.resolveMode(n, s.Mode)
-			p := scenarioPoint(n)
-			c := StepConfig{Name: p.Fingerprint(), Scenario: n}
-			rows[i].Point = p
-			rows[i].Config = c
-			cells = append(cells, sweep.Cell[StepConfig]{Key: c.Fingerprint(), Label: p.Fingerprint(), Config: c})
+			// Name the cell by its normalized coordinates, as a grid cell.
+			rows[i].Point = scenarioPoint(cell.Config.Scenario)
+			cell.Label = rows[i].Point.Fingerprint()
+			cell.Config.Name = cell.Label
+			rows[i].Config = cell.Config
+			cells = append(cells, cell)
 			cellRow = append(cellRow, i)
 		}
 	} else {
@@ -380,14 +358,13 @@ func (s SweepSpec) Run(ctx context.Context, onProgress func(sweep.Progress)) ([]
 		rows = make([]SweepRow, len(points))
 		for i, p := range points {
 			rows[i].Point = p
-			c, err := s.configFor(p)
+			cell, err := s.cellFor(r, p)
 			if err != nil {
 				rows[i].SkipReason = err.Error()
 				continue
 			}
-			c.Scenario = r.resolveMode(c.Scenario, s.Mode)
-			rows[i].Config = c
-			cells = append(cells, sweep.Cell[StepConfig]{Key: c.Fingerprint(), Label: p.Fingerprint(), Config: c})
+			rows[i].Config = cell.Config
+			cells = append(cells, cell)
 			cellRow = append(cellRow, i)
 		}
 	}
@@ -400,8 +377,8 @@ func (s SweepSpec) Run(ctx context.Context, onProgress func(sweep.Progress)) ([]
 	}
 	var errMu sync.Mutex
 	var firstErr error
-	run := func(c StepConfig) cluster.Result {
-		res, _, err := r.Resolve(ctx, c)
+	run := func(cell sweep.Cell[StepConfig]) cluster.Result {
+		res, _, err := r.Resolve(ctx, cell.Config, cell.Key)
 		if err != nil {
 			errMu.Lock()
 			if firstErr == nil {

@@ -40,6 +40,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"repro/internal/cluster"
 	"repro/internal/perturb"
@@ -352,7 +353,7 @@ func strictDecode(data []byte, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("trailing data after the first JSON document")
 	}
 	return nil

@@ -205,15 +205,39 @@ func TestParseJSONRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestParseJSONRejectsTrailingData: both strict decoders refuse anything but
+// whitespace after the first document — a concatenated second document, a
+// stray closing brace or bracket (which Decoder.More does not report) or
+// garbage — so no tail is dropped without notice.
 func TestParseJSONRejectsTrailingData(t *testing.T) {
-	// Concatenated documents must error, not silently drop the tail.
-	two := `[{"platform":"H100","ranks":8,"dap":1,"seed":1}]
-[{"platform":"A100","ranks":8,"dap":1,"seed":2}]`
-	if _, err := ParseJSONList([]byte(two)); err == nil {
-		t.Fatal("trailing JSON document must be rejected")
-	}
-	if _, err := ParseJSON([]byte(`{"platform":"H100","ranks":8,"dap":1,"seed":1} {}`)); err == nil {
-		t.Fatal("trailing object must be rejected")
+	const one = `{"platform":"H100","ranks":8,"dap":1,"seed":1}`
+	for name, d := range map[string]struct {
+		doc   string
+		parse func([]byte) error
+	}{
+		"ParseJSON":     {one, func(b []byte) error { _, err := ParseJSON(b); return err }},
+		"ParseJSONList": {"[" + one + "]", func(b []byte) error { _, err := ParseJSONList(b); return err }},
+	} {
+		for _, tc := range []struct {
+			tail string
+			ok   bool
+		}{
+			{"", true},
+			{" \n\t", true},
+			{"\n" + d.doc, false},
+			{" {}", false},
+			{"}", false},
+			{"]", false},
+			{" trailing garbage", false},
+		} {
+			err := d.parse([]byte(d.doc + tc.tail))
+			if tc.ok && err != nil {
+				t.Errorf("%s: refused tail %q: %v", name, tc.tail, err)
+			}
+			if !tc.ok && err == nil {
+				t.Errorf("%s: accepted tail %q", name, tc.tail)
+			}
+		}
 	}
 }
 

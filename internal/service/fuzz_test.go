@@ -7,11 +7,12 @@ import (
 )
 
 // FuzzSearchSpec drives the POST /v1/search submission pipeline over
-// arbitrary JSON: strict decode, defaulting, validation — none of it may
-// panic whatever the bytes say (the handler runs exactly this path on
-// unauthenticated input). Specs that validate must additionally survive the
-// wire round trip and still validate: a job listed by GET /v1/jobs carries
-// its submitted spec, and a client must be able to resubmit it verbatim.
+// arbitrary JSON: the handler's strict decode (decodeSpec), defaulting,
+// validation — none of it may panic whatever the bytes say (the handler
+// runs exactly this path on unauthenticated input). Specs that validate
+// must additionally survive the wire round trip and still validate: a job
+// listed by GET /v1/jobs carries its submitted spec, and a client must be
+// able to resubmit it verbatim.
 func FuzzSearchSpec(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"objective":"minimize-cost-steptime","arch":"H100","ranks":[128,1024],"dap":[8],"fail_lo":1e-6,"fail_hi":1e-2,"budget":24}`))
@@ -19,11 +20,10 @@ func FuzzSearchSpec(f *testing.F) {
 	f.Add([]byte(`{"fail_lo":1,"fail_hi":0.5,"tolerance":-3,"cliff_goodput":7}`))
 	f.Add([]byte(`{"ranks":[0,-5],"dap":[3],"mode":"guess","budget":1,"sim_workers":-2}`))
 	f.Add([]byte(`{"restart_cost_s":1e308,"steps":-1}`))
+	f.Add([]byte(`{"budget":8}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var spec SearchJobSpec
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if dec.Decode(&spec) != nil {
+		spec, err := decodeSpec[SearchJobSpec](bytes.NewReader(data))
+		if err != nil {
 			return // refused at the handler with 400
 		}
 		if err := spec.SearchSpec().WithDefaults().Validate(); err != nil {
@@ -33,8 +33,8 @@ func FuzzSearchSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted spec failed to marshal: %+v: %v", spec, err)
 		}
-		var back SearchJobSpec
-		if err := json.Unmarshal(blob, &back); err != nil {
+		back, err := decodeSpec[SearchJobSpec](bytes.NewReader(blob))
+		if err != nil {
 			t.Fatalf("round trip of accepted spec rejected: %s: %v", blob, err)
 		}
 		if err := back.SearchSpec().WithDefaults().Validate(); err != nil {
@@ -44,9 +44,10 @@ func FuzzSearchSpec(f *testing.F) {
 }
 
 // FuzzJobSpec is FuzzSearchSpec for the sweep wire spec of POST /v1/jobs:
-// strict decode, defaulting and validation never panic, and a spec that
-// validates survives the wire round trip — the server lists it, a client
-// resubmits it — still valid and expanding to the same number of cells.
+// the handler's strict decode, defaulting and validation never panic, and a
+// spec that validates survives the wire round trip — the server lists it, a
+// client resubmits it — still valid and expanding to the same number of
+// cells.
 // The execution hooks a SweepSpec carries never decode from the wire.
 func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{}`))
@@ -57,12 +58,8 @@ func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{"sim_workers":-1}`))
 	f.Add([]byte(`{"Resolver":{}}`))
 	f.Add([]byte(`{"OnRow":1}`))
-	decode := func(data []byte) (JobSpec, error) {
-		var spec JobSpec
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		return spec, dec.Decode(&spec)
-	}
+	f.Add([]byte(`{"seeds":1}{"seeds":2}`))
+	decode := func(data []byte) (JobSpec, error) { return decodeSpec[JobSpec](bytes.NewReader(data)) }
 	for _, hook := range []string{`{"Resolver":{}}`, `{"OnRow":1}`, `{"Cache":{}}`} {
 		if _, err := decode([]byte(hook)); err == nil {
 			f.Fatalf("strict decode accepted the execution hook in %s", hook)

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 )
 
@@ -40,17 +41,31 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// decodeSpec strict-decodes one spec of type S: an unknown field, or
+// anything but whitespace after the spec, is an error, so a concatenated
+// second spec cannot be dropped without notice.
+func decodeSpec[S any](body io.Reader) (S, error) {
+	var spec S
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return spec, errors.New("trailing data after the spec")
+	}
+	return spec, nil
+}
+
 // handleSubmit returns a job-submission handler: it strict-decodes a spec
-// of type S (an unknown field is 400), submits it and answers 202 with the
-// accepted job's status. An invalid spec — unknown mode, platform,
+// of type S (decodeSpec; a refusal is 400), submits it and answers 202 with
+// the accepted job's status. An invalid spec — unknown mode, platform,
 // objective, infeasible ladder, ... — is 400, queue backpressure 503 and
 // anything else 500.
 func handleSubmit[S any](kind string, submit func(S) (JobStatus, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var spec S
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		spec, err := decodeSpec[S](r.Body)
+		if err != nil {
 			writeJSON(w, http.StatusBadRequest, apiError{Error: "bad " + kind + " spec: " + err.Error()})
 			return
 		}

@@ -522,8 +522,8 @@ func (s *Server) runKind(j *job, run func(context.Context, *scalefold.Resolver) 
 		// attribution — the settling worker's ID (or "coordinator" for its
 		// store fast path) and the worker-side claim→settle window — so
 		// every cell appears in the job trace exactly once whoever ran it.
-		r.Remote = func(ctx context.Context, c scalefold.StepConfig) (cluster.Result, error) {
-			res, rep, err := s.coord.ExecuteReport(ctx, c)
+		r.Remote = func(ctx context.Context, c scalefold.StepConfig, key string) (cluster.Result, error) {
+			res, rep, err := s.coord.ExecuteReport(ctx, c, key)
 			if err != nil {
 				return res, err
 			}
@@ -531,7 +531,7 @@ func (s *Server) runKind(j *job, run func(context.Context, *scalefold.Resolver) 
 			if start.IsZero() {
 				start = end
 			}
-			j.trace.Span(rep.Owner, c.Name, "cell", rep.Source, rep.Key, start, end)
+			j.trace.Span(rep.Owner, c.Name, "cell", rep.Source, key, start, end)
 			return res, nil
 		}
 	}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -193,6 +194,48 @@ func TestSubmitRejectsBadSpec(t *testing.T) {
 	neg.Seeds = -1
 	if _, err := c.Submit(neg); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
 		t.Fatalf("negative seeds must yield HTTP 400, got %v", err)
+	}
+}
+
+// TestSubmitRefusesTrailingInput: both submission endpoints answer 400 and
+// create no job when anything but whitespace follows the spec — a second
+// concatenated spec, a stray closing bracket or garbage, each of which the
+// decoder would otherwise drop without notice — and accept a whitespace
+// tail.
+func TestSubmitRefusesTrailingInput(t *testing.T) {
+	srv, c, stop := newTestServer(t, Config{Workers: 1})
+	defer stop()
+	blob, err := json.Marshal(tinyJob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, search := string(blob), `{"budget":4}`
+	post := func(path, body string) (int, string) {
+		resp, err := http.Post(c.Base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/jobs", sweep + sweep},
+		{"/v1/jobs", sweep + " trailing garbage"},
+		{"/v1/jobs", sweep + "}"},
+		{"/v1/search", search + search},
+		{"/v1/search", search + " trailing garbage"},
+		{"/v1/search", search + "]"},
+	} {
+		if code, msg := post(tc.path, tc.body); code != http.StatusBadRequest || !strings.Contains(msg, "trailing data") {
+			t.Errorf("POST %s %q = %d %s, want 400 naming the trailing data", tc.path, tc.body, code, msg)
+		}
+	}
+	if jobs := srv.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused submissions created %d jobs", len(jobs))
+	}
+	if code, msg := post("/v1/jobs", sweep+"\n\t "); code != http.StatusAccepted {
+		t.Fatalf("a whitespace tail = %d %s, want 202", code, msg)
 	}
 }
 

@@ -50,9 +50,10 @@ type Engine[C, R any] struct {
 
 // Run executes every cell and returns the results in cell order — the order
 // is a function of the input alone, never of scheduling, so emitted output
-// is byte-identical for any worker count. Results of cells sharing a Key are
-// computed once when a Cache is set.
-func (e Engine[C, R]) Run(cells []Cell[C], run func(C) R) []R {
+// is byte-identical for any worker count. run receives the whole cell, key
+// included. Results of cells sharing a Key are computed once when a Cache is
+// set.
+func (e Engine[C, R]) Run(cells []Cell[C], run func(Cell[C]) R) []R {
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -85,9 +86,9 @@ func (e Engine[C, R]) Run(cells []Cell[C], run func(C) R) []R {
 		start := time.Now()
 		var cached bool
 		if e.Cache != nil && cells[i].Key != "" {
-			results[i], cached = e.Cache.Do(cells[i].Key, func() R { return run(cells[i].Config) })
+			results[i], cached = e.Cache.Do(cells[i].Key, func() R { return run(cells[i]) })
 		} else {
-			results[i] = run(cells[i].Config)
+			results[i] = run(cells[i])
 		}
 		report(i, cached, time.Since(start))
 	}

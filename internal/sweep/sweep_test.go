@@ -99,10 +99,10 @@ func sweepTable(workers int, cache *Cache[string], calls *atomic.Int64) Table {
 		cells[i] = Cell[Point]{Key: p.Fingerprint(), Label: p.Fingerprint(), Config: p}
 	}
 	eng := Engine[Point, string]{Workers: workers, Cache: cache}
-	results := eng.Run(cells, func(p Point) string {
+	results := eng.Run(cells, func(c Cell[Point]) string {
 		calls.Add(1)
 		// A deterministic "simulation": value derived from the scenario seed.
-		return fmt.Sprintf("%d", SeedFor(7, p.Fingerprint())%100000)
+		return fmt.Sprintf("%d", SeedFor(7, c.Config.Fingerprint())%100000)
 	})
 	tab := Table{Header: []string{"arch", "dap", "seed", "value"}}
 	for i, p := range points {
@@ -165,9 +165,9 @@ func TestCacheDeduplicatesRepeatedCells(t *testing.T) {
 		{Key: "shared", Config: 1},
 	}
 	eng := Engine[int, int]{Workers: 4, Cache: &cache}
-	res := eng.Run(cells, func(v int) int {
+	res := eng.Run(cells, func(c Cell[int]) int {
 		calls.Add(1)
-		return v * 10
+		return c.Config * 10
 	})
 	if calls.Load() != 2 {
 		t.Fatalf("repeated cells must run once: %d runs, want 2", calls.Load())
@@ -195,7 +195,7 @@ func TestProgressStreamsEveryCell(t *testing.T) {
 			lastDone = ev.Done
 		},
 	}
-	eng.Run(cells, func(Point) int { return 0 })
+	eng.Run(cells, func(Cell[Point]) int { return 0 })
 	if events != len(cells) {
 		t.Fatalf("%d progress events, want %d", events, len(cells))
 	}
@@ -249,7 +249,7 @@ func TestEngineOnResultStreamsEveryCell(t *testing.T) {
 			}
 		},
 	}
-	res := eng.Run(cells, func(v int) int { return v * 10 })
+	res := eng.Run(cells, func(c Cell[int]) int { return c.Config * 10 })
 	if len(got) != len(cells) {
 		t.Fatalf("OnResult fired for %d cells, want %d", len(got), len(cells))
 	}
