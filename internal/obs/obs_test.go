@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -138,6 +140,42 @@ func TestRegistryConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := r.Counter("hits_total", "").Value(); got != 1600 {
 		t.Fatalf("hits = %d, want 1600", got)
+	}
+}
+
+// TestWritePrometheusRacesMint pins that a scrape may overlap the first use
+// of a series: one goroutine mints 2,000 labeled counters of one family
+// while another scrapes 200 times. A scrape that read a family's series map
+// outside the registry lock is reported here under -race, and can be Go's
+// fatal concurrent map read and map write without it.
+func TestWritePrometheusRacesMint(t *testing.T) {
+	const mints, scrapes = 2000, 200
+	r := NewRegistry()
+	r.Counter("minted_total", "Series minted while scrapes run.", Label{"n", "0"})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < mints; i++ {
+			r.Counter("minted_total", "Series minted while scrapes run.", Label{"n", strconv.Itoa(i)}).Inc()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < scrapes; i++ {
+			if err := r.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(buf.String(), "\nminted_total{"); got != mints {
+		t.Fatalf("final scrape shows %d minted series, want %d", got, mints)
 	}
 }
 

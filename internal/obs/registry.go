@@ -142,21 +142,26 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	// Snapshot the series maps under the lock; the metric values themselves
-	// are atomic and rendered outside it.
+	// Snapshot each series with its key under the lock: a getter minting a
+	// series inserts into the same map. The metric values themselves are
+	// atomic and rendered outside it.
+	type keyed struct {
+		key    string
+		series any
+	}
 	type snap struct {
-		fam  *family
-		keys []string
+		fam    *family
+		series []keyed
 	}
 	snaps := make([]snap, len(names))
 	for i, n := range names {
 		f := r.families[n]
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
+		series := make([]keyed, 0, len(f.series))
+		for k, s := range f.series {
+			series = append(series, keyed{k, s})
 		}
-		sort.Strings(keys)
-		snaps[i] = snap{fam: f, keys: keys}
+		sort.Slice(series, func(a, b int) bool { return series[a].key < series[b].key })
+		snaps[i] = snap{fam: f, series: series}
 	}
 	r.mu.Unlock()
 
@@ -170,8 +175,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ); err != nil {
 			return err
 		}
-		for _, key := range s.keys {
-			if err := writeSeries(w, f.name, key, f.series[key]); err != nil {
+		for _, ks := range s.series {
+			if err := writeSeries(w, f.name, ks.key, ks.series); err != nil {
 				return err
 			}
 		}
