@@ -60,9 +60,9 @@ type CellReport struct {
 	Retries  int
 }
 
-// fleetMetrics bundles the coordinator's observability series. Every field is
-// nil when the Config carried no Registry, and every write is nil-safe, so an
-// uninstrumented coordinator pays only nil checks.
+// fleetMetrics bundles the coordinator's observability series, minted in its
+// Config's registry at NewCoordinator. They are the only record of the
+// coordinator's lifetime counts: Fleet reads them back for GET /v1/workers.
 type fleetMetrics struct {
 	reg        *obs.Registry
 	pending    *obs.Gauge
@@ -102,7 +102,7 @@ type workerState struct {
 	completed   int64
 	simulated   int64
 	storeHits   int64
-	inflightGge *obs.Gauge // per-worker in-flight gauge; nil when uninstrumented
+	inflightGge *obs.Gauge // per-worker in-flight gauge
 }
 
 // Coordinator owns the dispatch state of the sweep fabric: the fleet
@@ -125,11 +125,6 @@ type Coordinator struct {
 	// parked counts claims currently held waiting on wake (tests wait on
 	// it to know a claim is parked).
 	parked int
-
-	completed  int64
-	reassigned int64
-	rejected   int64
-	lost       int64
 
 	met fleetMetrics
 
@@ -327,19 +322,16 @@ func (c *Coordinator) CompleteCell(req CompleteRequest) CompleteResponse {
 	c.expireLocked(c.cfg.Now())
 	w, ok := c.workers[req.WorkerID]
 	if !ok {
-		c.rejected++
 		c.met.rejected.Inc()
 		return CompleteResponse{Accepted: false, Reason: "unknown or expired worker (cell reassigned)"}
 	}
 	w.lastBeat = c.cfg.Now()
 	t, ok := c.tasks[req.Key]
 	if !ok {
-		c.rejected++
 		c.met.rejected.Inc()
 		return CompleteResponse{Accepted: false, Reason: "cell already settled"}
 	}
 	if t.assigned != req.WorkerID {
-		c.rejected++
 		c.met.rejected.Inc()
 		return CompleteResponse{Accepted: false, Reason: "cell reassigned to another worker"}
 	}
@@ -350,7 +342,6 @@ func (c *Coordinator) CompleteCell(req CompleteRequest) CompleteResponse {
 		return CompleteResponse{Accepted: true, Reason: "requeued after worker-reported error"}
 	}
 	w.completed++
-	c.completed++
 	c.met.completed.Inc()
 	if req.Source == "store-hit" {
 		w.storeHits++
@@ -399,7 +390,6 @@ func (c *Coordinator) requeueLocked(t *task, cause error) {
 			"cell", t.key, "retries", t.retries, "cause", cause)
 		return
 	}
-	c.reassigned++
 	c.met.reassigned.Inc()
 	c.queue = append([]*task{t}, c.queue...)
 	c.met.pending.Set(int64(len(c.queue)))
@@ -428,7 +418,6 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			continue
 		}
 		delete(c.workers, id)
-		c.lost++
 		c.met.lost.Inc()
 		c.met.workers.Set(int64(len(c.workers)))
 		w.inflightGge.Set(0)
@@ -522,10 +511,10 @@ func (c *Coordinator) Fleet() FleetStatus {
 	}
 	fs := FleetStatus{
 		Pending:    len(c.queue),
-		Completed:  c.completed,
-		Reassigned: c.reassigned,
-		Rejected:   c.rejected,
-		Lost:       c.lost,
+		Completed:  c.met.completed.Value(),
+		Reassigned: c.met.reassigned.Value(),
+		Rejected:   c.met.rejected.Value(),
+		Lost:       c.met.lost.Value(),
 	}
 	for _, w := range c.workers {
 		fs.Inflight += len(w.inflight)

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -376,6 +378,64 @@ func TestFabricStalledWorkerExpiresAndLateCompletesRejected(t *testing.T) {
 	if fs.Rejected < 3 { // two direct probes + at least one from the zombie
 		t.Fatalf("rejected completes = %d, want >= 3: %+v", fs.Rejected, fs)
 	}
+
+	// GET /v1/workers and /v1/metrics report the same lifetime counts. The
+	// zombie may still be settling its batch, so compare a Fleet read
+	// against the scrapes around it once the two scrapes agree.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		before := fabricCounters(t, fl.URL)
+		fs := coord.Fleet()
+		fleet := map[string]int64{
+			"scalefold_fabric_completed_total":    fs.Completed,
+			"scalefold_fabric_reassigned_total":   fs.Reassigned,
+			"scalefold_fabric_rejected_total":     fs.Rejected,
+			"scalefold_fabric_lost_workers_total": fs.Lost,
+		}
+		after := fabricCounters(t, fl.URL)
+		if reflect.DeepEqual(before, after) {
+			if !reflect.DeepEqual(fleet, after) {
+				t.Fatalf("Fleet() counts %v, /v1/metrics %v", fleet, after)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fabric counters never settled: %v then %v", before, after)
+		}
+	}
+}
+
+// fabricCounters scrapes the coordinator's /v1/metrics and returns its four
+// lifetime counters by series name.
+func fabricCounters(t *testing.T, url string) map[string]int64 {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		switch name {
+		case "scalefold_fabric_completed_total", "scalefold_fabric_reassigned_total",
+			"scalefold_fabric_rejected_total", "scalefold_fabric_lost_workers_total":
+		default:
+			continue
+		}
+		n, err := strconv.ParseInt(val, 10, 64)
+		if !ok || err != nil {
+			t.Fatalf("series line %q", line)
+		}
+		got[name] = n
+	}
+	if len(got) != 4 {
+		t.Fatalf("metrics carry %d of the 4 fabric counters: %v", len(got), got)
+	}
+	return got
 }
 
 // TestWorkerRefusesCellUnderWrongKey dispatches a cell under the key of

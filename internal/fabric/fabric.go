@@ -53,9 +53,9 @@ type Config struct {
 	// coordinator calls and explicit ExpireNow, so tests control time
 	// completely.
 	Now func() time.Time
-	// Registry, when non-nil, receives the coordinator's observability
-	// series (queue depth, per-worker in-flight, RPC latencies, loss
-	// counters). Nil leaves the fabric uninstrumented.
+	// Registry receives the coordinator's observability series (queue
+	// depth, per-worker in-flight, RPC latencies, lifetime counts), which
+	// are also what GET /v1/workers reports. Nil gets a private registry.
 	Registry *obs.Registry
 	// Log, when non-nil, receives structured coordinator diagnostics
 	// (worker loss, retry exhaustion). Nil discards them.
@@ -82,6 +82,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 4
+	}
+	if c.Registry == nil {
+		c.Registry = obs.NewRegistry()
 	}
 	return c
 }

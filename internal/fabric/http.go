@@ -27,17 +27,13 @@ import (
 // A held claim ends early when its client disconnects, and with 503 when
 // the coordinator closes. Its rpc latency series includes the hold time.
 func (c *Coordinator) Mount(mux *http.ServeMux) {
-	// timed wraps a handler with a per-RPC latency histogram. With no
-	// Registry configured hist is nil and the handler is returned untouched —
-	// no clock reads on uninstrumented coordinators. Minting at mount time
-	// also guarantees the series exist (at zero) before any worker calls in.
+	// timed wraps a handler with a per-RPC latency histogram. Minting at
+	// mount time guarantees the series exist (at zero) before any worker
+	// calls in.
 	timed := func(rpcName string, h http.HandlerFunc) http.HandlerFunc {
 		hist := c.met.reg.Histogram("scalefold_fabric_rpc_seconds",
 			"Coordinator RPC handling latency in seconds.", nil,
 			obs.Label{Key: "rpc", Value: rpcName})
-		if hist == nil {
-			return h
-		}
 		return func(w http.ResponseWriter, r *http.Request) {
 			t0 := time.Now()
 			h(w, r)

@@ -112,10 +112,11 @@ type Server struct {
 // gauges and counters. Store and fabric series live in their layers, wired to
 // the same registry at New.
 type svcMetrics struct {
-	reg       *obs.Registry
 	submitted *obs.Counter
 	queued    *obs.Gauge
 	running   *obs.Gauge
+	// finished counts jobs by terminal state (done, cancelled, failed).
+	finished map[string]*obs.Counter
 	// retained is the NDJSON event-log bytes held by retained finished
 	// jobs: a job adds its log at finalize, and eviction takes it back.
 	retained *obs.Gauge
@@ -133,16 +134,20 @@ type svcMetrics struct {
 	probeHist    *obs.Histogram
 }
 
-// probeSources are the scalefold.SearchSpec.OnProbe resolution sources; all
-// three series are minted at New so they exposit at zero from first scrape.
-var probeSources = []string{"analytic", "exact", "memo-hit"}
+// probeSources are the scalefold.SearchSpec.OnProbe resolution sources and
+// terminalStates the job states a job finishes in; a series for each is
+// minted at New so it exposits at zero from first scrape.
+var (
+	probeSources   = []string{"analytic", "exact", "memo-hit"}
+	terminalStates = []string{StateDone, StateCancelled, StateFailed}
+)
 
 func newSvcMetrics(r *obs.Registry) svcMetrics {
 	m := svcMetrics{
-		reg:       r,
 		submitted: r.Counter("scalefold_service_jobs_submitted_total", "Jobs accepted by POST /v1/jobs."),
 		queued:    r.Gauge("scalefold_service_jobs_queued", "Jobs waiting for a scheduler slot."),
 		running:   r.Gauge("scalefold_service_jobs_running", "Jobs currently executing."),
+		finished:  map[string]*obs.Counter{},
 		retained: r.Gauge("scalefold_service_retained_event_bytes",
 			"NDJSON event-log bytes held by retained finished jobs."),
 		analyticCells: r.Counter("scalefold_service_analytic_cells_total",
@@ -164,13 +169,17 @@ func newSvcMetrics(r *obs.Registry) svcMetrics {
 			"Adaptive-search probes settled, by resolution source.",
 			obs.Label{Key: "source", Value: src})
 	}
+	for _, st := range terminalStates {
+		m.finished[st] = r.Counter("scalefold_service_jobs_finished_total",
+			"Jobs reaching a terminal state.", obs.Label{Key: "state", Value: st})
+	}
 	return m
 }
 
 // jobState is the job lifecycle hook: it keeps the queued/running gauges
 // consistent across every transition (including cancel-while-queued) and
 // counts terminal states. Called under the job's mutex; every operation here
-// is lock-free, so no ordering constraint is violated.
+// is a lock-free write to a series minted at New.
 func (m svcMetrics) jobState(from, to string) {
 	switch from {
 	case StateQueued:
@@ -181,9 +190,8 @@ func (m svcMetrics) jobState(from, to string) {
 	switch to {
 	case StateRunning:
 		m.running.Add(1)
-	case StateDone, StateCancelled, StateFailed:
-		m.reg.Counter("scalefold_service_jobs_finished_total",
-			"Jobs reaching a terminal state.", obs.Label{Key: "state", Value: to}).Inc()
+	default:
+		m.finished[to].Inc()
 	}
 }
 
@@ -225,7 +233,6 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 	}
-	storeKind := "mem"
 	// Legacy keys can only come from a pre-upgrade store on disk; the store
 	// counts them incrementally while replaying its segments (no key scan,
 	// no value decodes), and `scalefold store compact` sheds them.
@@ -241,8 +248,7 @@ func New(cfg Config) (*Server, error) {
 		// so it must join as one more Shared owner: a Get miss then tails
 		// the workers' segments and finds their records, instead of the
 		// coordinator re-writing every settled cell as a duplicate.
-		storeKind = "shared"
-		storeOpts = append(storeOpts, store.WithMetrics(store.NewMetrics(s.reg, storeKind)))
+		storeOpts = append(storeOpts, store.WithMetrics(store.NewMetrics(s.reg, "shared")))
 		sh, err := store.OpenShared[cluster.Result](cfg.StoreDir, "coordinator", storeOpts...)
 		if err != nil {
 			return nil, err
@@ -251,17 +257,14 @@ func New(cfg Config) (*Server, error) {
 	case cfg.StoreDir != "":
 		// Metrics attach at open (not after) so the replay itself — sidecar
 		// warm loads vs self-healed scans — shows up in the registry.
-		storeKind = "disk"
-		storeOpts = append(storeOpts, store.WithMetrics(store.NewMetrics(s.reg, storeKind)))
+		storeOpts = append(storeOpts, store.WithMetrics(store.NewMetrics(s.reg, "disk")))
 		d, err := store.OpenDisk[cluster.Result](cfg.StoreDir, storeOpts...)
 		if err != nil {
 			return nil, err
 		}
 		s.disk, s.st = d, d
 	default:
-		m := store.NewMem[cluster.Result]()
-		m.SetMetrics(store.NewMetrics(s.reg, storeKind))
-		s.st = m
+		s.st = store.NewMem[cluster.Result](store.WithMetrics(store.NewMetrics(s.reg, "mem")))
 	}
 	if cfg.Fabric != nil {
 		// Share the server's registry and logger with the coordinator unless

@@ -129,8 +129,8 @@ func (c *core[R]) compactLocked() (CompactStats, error) {
 		os.Remove(p)
 		os.Remove(sidecarPath(p))
 	}
-	c.met.Load().compacted()
-	c.met.Load().records(len(kept))
+	c.met.Compactions.Inc()
+	c.met.Records.Set(int64(len(kept)))
 	return st, nil
 }
 

@@ -25,7 +25,7 @@ type core[R any] struct {
 	dir   string
 	locks []*os.File // flock-held lock files, released by Close
 	cfg   config
-	met   atomic.Pointer[Metrics]
+	met   Metrics
 
 	idx *index[R]
 	tab *segTable
@@ -56,7 +56,7 @@ type dirLock struct {
 // versioning, not by replay scheduling.
 func (c *core[R]) open(dir, prefix string, ownAll bool, opts []Option, locks ...dirLock) (foreign []string, err error) {
 	c.SegmentBytes, c.dir, c.cfg, c.tab = DefaultSegmentBytes, dir, buildConfig(opts), &segTable{}
-	c.met.Store(c.cfg.metrics)
+	c.met = c.cfg.metrics
 	c.idx = newIndex[R](c.cfg.shards, c.cfg.cacheEntries, c.cfg.legacy, &c.met)
 	c.w = segWriter{dir: dir, prefix: prefix, live: map[int32]string{}, tab: c.tab, met: &c.met}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -153,7 +153,7 @@ func (c *core[R]) replayOne(path string, id int32) error {
 	}
 	entries, dropped, covered, warm := loadSidecar(path, size)
 	if warm {
-		c.met.Load().sidecarLoad()
+		c.met.SidecarLoads.Inc()
 	} else {
 		entries, dropped, covered = nil, 0, 0
 	}
@@ -181,7 +181,7 @@ func (c *core[R]) replayOne(path string, id int32) error {
 		// The scan did work a sidecar would have avoided: seal what we
 		// learned so the next open of this (now static) segment is warm.
 		if res.parsed > 0 && writeSidecar(path, covered, dropped, entries) == nil {
-			c.met.Load().sidecarRebuild()
+			c.met.SidecarWrites.Inc()
 		}
 	}
 	for _, e := range entries {
@@ -194,10 +194,9 @@ func (c *core[R]) replayOne(path string, id int32) error {
 // Get returns the stored value for key, if any: an index hit serves from
 // the decode cache or reads exactly one record's bytes off disk.
 func (c *core[R]) Get(key string) (R, bool) {
-	mt := c.met.Load()
-	t0 := mt.start()
+	t0 := c.met.start()
 	v, ok := c.get(key)
-	mt.lookup(t0, ok)
+	c.met.lookup(t0, ok)
 	return v, ok
 }
 
@@ -221,7 +220,7 @@ func (c *core[R]) get(key string) (R, bool) {
 		if errors.Is(err, errStaleRef) {
 			continue // compaction moved the record; re-resolve
 		}
-		c.met.Load().decodeError()
+		c.met.DecodeFailures.Inc()
 		return zero, false
 	}
 	return zero, false
@@ -238,8 +237,7 @@ func (c *core[R]) Put(key string, v R) error {
 	if err != nil {
 		return err
 	}
-	mt := c.met.Load()
-	t0 := mt.start()
+	t0 := c.met.start()
 	c.wmu.Lock()
 	if c.closed {
 		c.wmu.Unlock()
@@ -259,7 +257,7 @@ func (c *core[R]) Put(key string, v R) error {
 	if err != nil {
 		return err
 	}
-	mt.appended(t0, c.Len())
+	c.met.appended(t0, c.Len())
 	return nil
 }
 

@@ -53,12 +53,12 @@ type index[R any] struct {
 	count    atomic.Int64
 	legacy   atomic.Int64
 	isLegacy func(string) bool // nil = no legacy accounting
-	met      *atomic.Pointer[Metrics]
+	met      *Metrics          // the store's
 }
 
 // newIndex builds an index with the given shard count (rounded up to a power
 // of two) and a total decoded-value cache capacity spread across shards.
-func newIndex[R any](shards, cacheEntries int, isLegacy func(string) bool, met *atomic.Pointer[Metrics]) *index[R] {
+func newIndex[R any](shards, cacheEntries int, isLegacy func(string) bool, met *Metrics) *index[R] {
 	n := 1
 	for n < shards {
 		n <<= 1
@@ -90,7 +90,7 @@ func (ix *index[R]) lock(sh *indexShard[R]) {
 	if sh.mu.TryLock() {
 		return
 	}
-	ix.met.Load().contended()
+	ix.met.Contended.Inc()
 	sh.mu.Lock()
 }
 
@@ -117,12 +117,11 @@ func (ix *index[R]) cachedOrRef(key string) (v R, r ref, cached, ok bool) {
 		}
 	}
 	sh.mu.Unlock()
-	mt := ix.met.Load()
 	if ok {
 		if cached {
-			mt.cacheHit()
+			ix.met.CacheHits.Inc()
 		} else {
-			mt.cacheMiss()
+			ix.met.CacheMisses.Inc()
 		}
 	}
 	return v, r, cached, ok

@@ -8,9 +8,9 @@ import (
 
 // Metrics collects a store's observability series: lookup/append latency
 // histograms, hit/miss counters, and index-size/segment gauges. Attach one
-// with WithMetrics when opening a Disk or Shared store, or with SetMetrics
-// on a Mem; a nil *Metrics keeps the store completely uninstrumented (no
-// clock reads, no atomic writes).
+// with WithMetrics when making a store; a store holds its Metrics by value,
+// and the zero Metrics keeps it uninstrumented (no clock reads, and every
+// write is a nil-series no-op).
 //
 // Build one by hand for tests, or with NewMetrics to register the standard
 // scalefold_store_* series in an obs.Registry.
@@ -33,14 +33,11 @@ type Metrics struct {
 }
 
 // NewMetrics registers the standard store series in r, labeled store=name,
-// and returns them bundled for WithMetrics or Mem.SetMetrics. Returns nil
-// (uninstrumented) on a nil Registry.
-func NewMetrics(r *obs.Registry, name string) *Metrics {
-	if r == nil {
-		return nil
-	}
+// and returns them bundled for WithMetrics. Returns the zero (uninstrumented)
+// Metrics on a nil Registry.
+func NewMetrics(r *obs.Registry, name string) Metrics {
 	lbl := obs.Label{Key: "store", Value: name}
-	return &Metrics{
+	return Metrics{
 		Lookup:   r.Histogram("scalefold_store_lookup_seconds", "Store Get latency in seconds.", nil, lbl),
 		Append:   r.Histogram("scalefold_store_append_seconds", "Store Put latency in seconds.", nil, lbl),
 		Hits:     r.Counter("scalefold_store_hits_total", "Store lookups that found a value.", lbl),
@@ -58,10 +55,10 @@ func NewMetrics(r *obs.Registry, name string) *Metrics {
 	}
 }
 
-// start returns the operation start time, or the zero time when
-// uninstrumented — the nil check that keeps time.Now() off bare runs.
+// start returns the operation start time, or the zero time when the store
+// is uninstrumented — the check that keeps time.Now() off bare runs.
 func (m *Metrics) start() time.Time {
-	if m == nil {
+	if m.Lookup == nil && m.Append == nil {
 		return time.Time{}
 	}
 	return time.Now()
@@ -69,9 +66,6 @@ func (m *Metrics) start() time.Time {
 
 // lookup settles one Get: latency since t0 plus the hit/miss outcome.
 func (m *Metrics) lookup(t0 time.Time, hit bool) {
-	if m == nil {
-		return
-	}
 	m.Lookup.ObserveSince(t0)
 	if hit {
 		m.Hits.Inc()
@@ -82,82 +76,6 @@ func (m *Metrics) lookup(t0 time.Time, hit bool) {
 
 // appended settles one Put: latency since t0 and the new index size.
 func (m *Metrics) appended(t0 time.Time, records int) {
-	if m == nil {
-		return
-	}
 	m.Append.ObserveSince(t0)
 	m.Records.Set(int64(records))
-}
-
-// records refreshes the index-size gauge (used by refresh paths that grow
-// the index without a Put).
-func (m *Metrics) records(n int) {
-	if m == nil {
-		return
-	}
-	m.Records.Set(int64(n))
-}
-
-// rotated counts one new segment file.
-func (m *Metrics) rotated() {
-	if m == nil {
-		return
-	}
-	m.Segments.Add(1)
-}
-
-// contended counts one shard-lock acquisition that found the lock held.
-func (m *Metrics) contended() {
-	if m == nil || m.Contended == nil {
-		return
-	}
-	m.Contended.Inc()
-}
-
-// cacheHit counts one Get served from the decoded-value LRU.
-func (m *Metrics) cacheHit() {
-	if m == nil || m.CacheHits == nil {
-		return
-	}
-	m.CacheHits.Inc()
-}
-
-// cacheMiss counts one Get that had to read record bytes from disk.
-func (m *Metrics) cacheMiss() {
-	if m == nil || m.CacheMisses == nil {
-		return
-	}
-	m.CacheMisses.Inc()
-}
-
-// sidecarLoad counts one segment opened warm from its sidecar.
-func (m *Metrics) sidecarLoad() {
-	if m == nil || m.SidecarLoads == nil {
-		return
-	}
-	m.SidecarLoads.Inc()
-}
-
-// sidecarRebuild counts one sidecar written.
-func (m *Metrics) sidecarRebuild() {
-	if m == nil || m.SidecarWrites == nil {
-		return
-	}
-	m.SidecarWrites.Inc()
-}
-
-// compacted counts one completed compaction.
-func (m *Metrics) compacted() {
-	if m == nil || m.Compactions == nil {
-		return
-	}
-	m.Compactions.Inc()
-}
-
-// decodeError counts one Get whose on-disk record failed to decode.
-func (m *Metrics) decodeError() {
-	if m == nil || m.DecodeFailures == nil {
-		return
-	}
-	m.DecodeFailures.Inc()
 }

@@ -141,8 +141,7 @@ func TestStoreSeriesPinned(t *testing.T) {
 		}
 	}
 
-	mem := NewMem[payload]()
-	mem.SetMetrics(NewMetrics(reg, "mem"))
+	mem := NewMem[payload](WithMetrics(NewMetrics(reg, "mem")))
 	put(mem, k0, 0)
 	put(mem, k1, 1)
 	get(mem, k0, true)

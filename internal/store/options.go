@@ -14,10 +14,11 @@ type config struct {
 	shards       int
 	cacheEntries int
 	legacy       func(string) bool
-	metrics      *Metrics
+	metrics      Metrics
 }
 
-// An Option tunes OpenDisk/OpenShared.
+// An Option tunes OpenDisk, OpenShared or NewMem (which honours only
+// WithMetrics).
 type Option func(*config)
 
 // WithShards sets the index shard count (rounded up to a power of two,
@@ -44,7 +45,7 @@ func WithCache(n int) Option {
 
 // WithMetrics attaches observability series before replay begins, so the
 // open itself (sidecar loads, self-heal rebuilds) is counted.
-func WithMetrics(m *Metrics) Option {
+func WithMetrics(m Metrics) Option {
 	return func(c *config) { c.metrics = m }
 }
 

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 )
 
 // maxSegmentOff is the largest byte offset a ref can address. Rotation
@@ -51,7 +50,7 @@ type segWriter struct {
 	live        map[int32]string // id → path of every owned segment
 	durable     bool             // fsync each segment at seal (compaction)
 	tab         *segTable
-	met         *atomic.Pointer[Metrics]
+	met         *Metrics // the store's
 
 	f       *os.File    // active segment; nil until the first append
 	id      int32       // its id in the segment table
@@ -101,7 +100,7 @@ func (w *segWriter) rotate() error {
 	w.f, w.path, w.size, w.pending = f, path, 0, nil
 	w.id = w.tab.add(path)
 	w.live[w.id] = path
-	w.met.Load().rotated()
+	w.met.Segments.Add(1)
 	return nil
 }
 
@@ -118,7 +117,7 @@ func (w *segWriter) seal() error {
 		err = w.f.Sync()
 	}
 	if writeSidecar(w.path, w.size, 0, w.pending) == nil {
-		w.met.Load().sidecarRebuild()
+		w.met.SidecarWrites.Inc()
 	}
 	if cerr := w.f.Close(); err == nil {
 		err = cerr

@@ -142,7 +142,7 @@ func (s *Shared[R]) tailLocked(path string) (int, error) {
 				s.dropped.Add(int64(dropped))
 				fs.consumed = covered
 				applied = len(entries)
-				s.met.Load().sidecarLoad()
+				s.met.SidecarLoads.Inc()
 			}
 		}
 	}
@@ -207,15 +207,14 @@ func (s *Shared[R]) refreshLocked() (int, error) {
 // Refresh — the "any worker's finished cell is every worker's memo hit"
 // path — before giving up.
 func (s *Shared[R]) Get(key string) (R, bool) {
-	mt := s.met.Load()
-	t0 := mt.start()
+	t0 := s.met.start()
 	v, ok := s.get(key)
 	if !ok {
 		s.Refresh() // best-effort: a read error just means a miss
 		v, ok = s.get(key)
 	}
-	mt.lookup(t0, ok)
-	mt.records(s.Len())
+	s.met.lookup(t0, ok)
+	s.met.Records.Set(int64(s.Len()))
 	return v, ok
 }
 

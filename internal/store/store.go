@@ -17,7 +17,6 @@ package store
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Store is the persistence interface the scalefold memo sits on. Get and Put
@@ -40,39 +39,32 @@ type Store[R any] interface {
 type Mem[R any] struct {
 	mu  sync.RWMutex
 	m   map[string]R
-	met atomic.Pointer[Metrics]
+	met Metrics
 }
 
-// NewMem returns an empty in-memory store.
-func NewMem[R any]() *Mem[R] { return &Mem[R]{m: map[string]R{}} }
-
-// SetMetrics attaches (or, with nil, detaches) observability series. Safe to
-// call at any time, including while the store is in use.
-func (s *Mem[R]) SetMetrics(m *Metrics) {
-	s.met.Store(m)
-	m.records(s.Len())
+// NewMem returns an empty in-memory store, instrumented by WithMetrics.
+func NewMem[R any](opts ...Option) *Mem[R] {
+	return &Mem[R]{m: map[string]R{}, met: buildConfig(opts).metrics}
 }
 
 // Get returns the stored value for key, if any.
 func (s *Mem[R]) Get(key string) (R, bool) {
-	mt := s.met.Load()
-	t0 := mt.start()
+	t0 := s.met.start()
 	s.mu.RLock()
 	v, ok := s.m[key]
 	s.mu.RUnlock()
-	mt.lookup(t0, ok)
+	s.met.lookup(t0, ok)
 	return v, ok
 }
 
 // Put stores the value under key. It never fails.
 func (s *Mem[R]) Put(key string, v R) error {
-	mt := s.met.Load()
-	t0 := mt.start()
+	t0 := s.met.start()
 	s.mu.Lock()
 	s.m[key] = v
 	n := len(s.m)
 	s.mu.Unlock()
-	mt.appended(t0, n)
+	s.met.appended(t0, n)
 	return nil
 }
 
