@@ -454,3 +454,44 @@ func TestLongPollCancelledRequestFreesHandler(t *testing.T) {
 		t.Fatalf("Claim after the abandoned claim = %v, %v", cells, err)
 	}
 }
+
+// TestFleetEndpointsRefuseTrailingInput pins that each fleet POST decodes
+// exactly one JSON value: garbage, a second value or a stray brace after
+// the request is a 400 that changes nothing, while trailing whitespace is
+// accepted.
+func TestFleetEndpointsRefuseTrailingInput(t *testing.T) {
+	c, _ := testCoordinator(t, Config{}, nil)
+	base := mountHTTP(t, c)
+	id := register(t, c, "a")
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/workers/"+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	worker := `{"worker_id":"` + id + `"}`
+	for _, tc := range []struct{ path, body string }{
+		{"register", `{"name":"b"}`},
+		{"claim", worker},
+		{"heartbeat", worker},
+		{"complete", `{"worker_id":"` + id + `","key":"v5:none"}`},
+	} {
+		for _, trail := range []string{"garbage", tc.body, "}"} {
+			if code := post(tc.path, tc.body+trail); code != http.StatusBadRequest {
+				t.Errorf("POST %s %s = %d, want 400", tc.path, tc.body+trail, code)
+			}
+		}
+	}
+	if fs := c.Fleet(); len(fs.Workers) != 1 || fs.Rejected != 0 {
+		t.Fatalf("a refused request changed the fleet: %+v", fs)
+	}
+	if code := post("register", "{\"name\":\"b\"} \n"); code != http.StatusOK {
+		t.Fatalf("register with trailing whitespace = %d, want 200", code)
+	}
+	if n := len(c.Fleet().Workers); n != 2 {
+		t.Fatalf("%d workers after one more registration, want 2", n)
+	}
+}

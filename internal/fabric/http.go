@@ -93,10 +93,18 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 	})
 }
 
+// decodeBody strict-decodes one request into v: an unknown field, or
+// anything but whitespace after the request, is a 400.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("trailing data after the request")
+		}
+	}
+	if err != nil {
 		writeFabricJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request: " + err.Error()})
 		return false
 	}
