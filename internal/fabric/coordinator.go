@@ -46,18 +46,17 @@ type task struct {
 	elapsed   time.Duration // worker-measured execution time
 }
 
-// CellReport is the coordinator's record of one settled cell's lifecycle —
-// who ran it, how it was satisfied, and when each stage happened. Jobs feed
-// these into their trace so the fleet timeline shows true worker-side
-// execution windows, not RPC-bracketed guesses.
+// CellReport is the coordinator's record of one settled cell — who ran it,
+// how it was satisfied, when it was claimed and settled, and how long the
+// worker took to run it. Jobs span a remote cell over the worker's run,
+// Elapsed ending at Settled (Claimed to Settled when Elapsed is 0), so the
+// fleet timeline shows each cell's own execution, not its whole batch's.
 type CellReport struct {
-	Owner    string // settling worker ID; "coordinator" for a store fast-path hit
-	Source   string // "store-hit" or "simulated"
-	Enqueued time.Time
-	Claimed  time.Time
-	Settled  time.Time
-	Elapsed  time.Duration // worker-measured execution time (0 if unreported)
-	Retries  int
+	Owner   string // settling worker ID; "coordinator" for a store fast-path hit
+	Source  string // "store-hit" or "simulated"
+	Claimed time.Time
+	Settled time.Time
+	Elapsed time.Duration // worker-measured execution time (0 if unreported)
 }
 
 // fleetMetrics bundles the coordinator's observability series, minted in its
@@ -447,10 +446,7 @@ func (c *Coordinator) Execute(ctx context.Context, cfg scalefold.StepConfig) (cl
 func (c *Coordinator) ExecuteReport(ctx context.Context, cfg scalefold.StepConfig, key string) (cluster.Result, CellReport, error) {
 	if r, ok := scalefold.StoreHit(c.st, key); ok {
 		now := c.cfg.Now()
-		return r, CellReport{
-			Owner: "coordinator", Source: "store-hit",
-			Enqueued: now, Claimed: now, Settled: now,
-		}, nil
+		return r, CellReport{Owner: "coordinator", Source: "store-hit", Claimed: now, Settled: now}, nil
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -477,8 +473,7 @@ func (c *Coordinator) ExecuteReport(ctx context.Context, cfg scalefold.StepConfi
 		// Settled task fields are immutable after doneCh closes.
 		return t.res, CellReport{
 			Owner: t.owner, Source: t.source,
-			Enqueued: t.enqueued, Claimed: t.claimedAt, Settled: t.settledAt,
-			Elapsed: t.elapsed, Retries: t.retries,
+			Claimed: t.claimedAt, Settled: t.settledAt, Elapsed: t.elapsed,
 		}, t.err
 	case <-ctx.Done():
 		c.mu.Lock()

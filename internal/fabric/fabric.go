@@ -159,9 +159,10 @@ type CompleteRequest struct {
 	Key      string         `json:"key"`
 	Result   cluster.Result `json:"result"`
 	Err      string         `json:"err,omitempty"`
-	// ElapsedMillis is the worker-measured execution time of the cell, so
-	// the coordinator's job trace shows true fleet timings rather than
-	// RPC-bracketed estimates. Zero from pre-observability workers.
+	// ElapsedMillis is the worker-measured execution time of the cell: the
+	// job trace spans the cell over this much time ending when it settled,
+	// not over its whole claimed batch. Zero from pre-observability workers,
+	// whose cells are spanned from claim to settle.
 	ElapsedMillis float64 `json:"elapsed_ms,omitempty"`
 	// Source reports how the worker satisfied the cell: "store-hit" (shared
 	// store already held it) or "simulated". Empty from older workers counts

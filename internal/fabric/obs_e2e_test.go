@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"testing"
 
@@ -102,5 +103,47 @@ func TestFabricTraceCoversEveryCellOnce(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, text)
 		}
+	}
+}
+
+// TestFabricRemoteSpansCoverWorkerRuns pins that a remote cell's span covers
+// its worker's run of the cell, not its whole claimed batch: one worker runs
+// the 24-cell grid in batches of 4, one cell at a time, so no span on its
+// lane may start before the previous one ended.
+func TestFabricRemoteSpansCoverWorkerRuns(t *testing.T) {
+	fl := fakeworker.Start(t, fakeworker.Options{Workers: 1})
+	st, err := fl.Client.Submit(grid24())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, done := collect(t, fl.Client, st.ID); done.State != service.StateDone || done.Remote != 24 {
+		t.Fatalf("done event %+v, want done with 24 remote cells", done)
+	}
+	var buf bytes.Buffer
+	if err := fl.Client.Trace(st.ID, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []obs.TraceEvent
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	var spans []obs.TraceEvent
+	for _, ev := range events {
+		if ev.Ph == "X" && ev.Args["owner"] == fl.Worker(0).ID() {
+			spans = append(spans, ev)
+		}
+	}
+	if len(spans) != 24 {
+		t.Fatalf("worker lane holds %d spans, want 24", len(spans))
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].TS < spans[j].TS })
+	overlaps := 0
+	for i := 1; i < len(spans); i++ {
+		if prev := spans[i-1]; spans[i].TS < prev.TS+prev.Dur-1e-3 { // 1 ns of float slack
+			overlaps++
+		}
+	}
+	if overlaps != 0 {
+		t.Fatalf("%d of %d spans on the worker lane start before the previous one ends", overlaps, len(spans))
 	}
 }

@@ -523,15 +523,19 @@ func (s *Server) runKind(j *job, run func(context.Context, *scalefold.Resolver) 
 		// fleet. The Resolver leaves remote cells unspanned (see
 		// Resolver.Trace); record them here with the coordinator's true
 		// attribution — the settling worker's ID (or "coordinator" for its
-		// store fast path) and the worker-side claim→settle window — so
-		// every cell appears in the job trace exactly once whoever ran it.
+		// store fast path) and the worker's run of the cell, its reported
+		// execution time ending at settle (claim→settle when it reported
+		// none) — so every cell appears in the job trace exactly once
+		// whoever ran it, and cells of one claimed batch do not overlap.
 		r.Remote = func(ctx context.Context, c scalefold.StepConfig, key string) (cluster.Result, error) {
 			res, rep, err := s.coord.ExecuteReport(ctx, c, key)
 			if err != nil {
 				return res, err
 			}
 			start, end := rep.Claimed, rep.Settled
-			if start.IsZero() {
+			if rep.Elapsed > 0 {
+				start = end.Add(-rep.Elapsed)
+			} else if start.IsZero() {
 				start = end
 			}
 			j.trace.Span(rep.Owner, c.Name, "cell", rep.Source, key, start, end)
