@@ -321,7 +321,7 @@ func waitState(t *testing.T, c *Client, id, state string) {
 // once — while the slot holder is still running — instead of holding one of
 // the active-job slots until the other simulation frees the compute slot.
 func TestCancelReachesCellWaitingForSlot(t *testing.T) {
-	_, c, stop := newTestServer(t, Config{Workers: 1, MaxActiveJobs: 2})
+	srv, c, stop := newTestServer(t, Config{Workers: 1, MaxActiveJobs: 2})
 	defer stop()
 	long := scalefold.Figure7Config("H100", 512, 8).Scenario // about a second
 	long.Steps = 24
@@ -330,6 +330,15 @@ func TestCancelReachesCellWaitingForSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, c, holder.ID, StateRunning)
+	// A job is running before its cell is lowered and takes the server's
+	// one compute slot: wait for the slot itself, or the waiter's cell
+	// could take it first.
+	for deadline := time.Now().Add(5 * time.Second); len(srv.slots) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the holder's cell never took the compute slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	waiter, err := c.Submit(tinyJob())
 	if err != nil {
 		t.Fatal(err)
