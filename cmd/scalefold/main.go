@@ -977,5 +977,4 @@ func fig11(r *scalefold.Resolver) {
 	for _, p := range sched.Curve(5000, 55000) {
 		fmt.Printf("  step %6d  GBS %3d  avg_lddt_ca %.3f %s\n", p.Step, p.GBS, p.LDDT, stars(int(40*p.LDDT)))
 	}
-	_ = workload.Baseline() // keep the census import alive for doc links
 }
