@@ -351,6 +351,9 @@ func (s *Server) enqueue(j *job) (JobStatus, error) {
 		s.mu.Unlock()
 		return JobStatus{}, fmt.Errorf("service: server is shutting down")
 	}
+	// Evict before the new job is queued: a scheduler may run it to the end
+	// before this returns, and it must not count against its own submission.
+	s.pruneLocked()
 	s.seq++
 	j.id = fmt.Sprintf("job-%06d", s.seq)
 	j.state = StateQueued
@@ -373,7 +376,6 @@ func (s *Server) enqueue(j *job) (JobStatus, error) {
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	s.pruneLocked()
 	s.mu.Unlock()
 	s.met.submitted.Inc()
 	return j.status(), nil
